@@ -89,9 +89,9 @@ void RunJoin(benchmark::State& state,
     options.prune_contained_contexts = prune;
     options.stats = &stats;
     std::vector<so::IterMatch> out;
-    auto st = so::LoopLiftedStandoffJoin(
-        so::StandoffOp::kSelectNarrow, context, ann_iters, index.entries(),
-        index, index.annotated_ids(), iters, &out, options);
+    auto st = so::LoopLiftedStandoffJoinColumns(
+        so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+        index.annotated_ids(), iters, &out, options);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

@@ -73,12 +73,12 @@ void BM_WithPushdown(benchmark::State& state) {
   for (const auto& r : context) ann_iters[r.ann] = r.iter;
   for (auto _ : state) {
     // The intersection is part of the step cost.
-    std::vector<so::RegionEntry> candidates =
-        fx.index->Intersect(fx.needle_pres);
+    const so::RegionColumnsData candidates =
+        fx.index->IntersectColumns(fx.needle_pres);
     std::vector<so::IterMatch> out;
-    auto st = so::LoopLiftedStandoffJoin(
-        so::StandoffOp::kSelectNarrow, context, ann_iters, candidates,
-        *fx.index, fx.needle_pres, 64, &out);
+    auto st = so::LoopLiftedStandoffJoinColumns(
+        so::StandoffOp::kSelectNarrow, context, ann_iters, candidates.View(),
+        fx.needle_pres, 64, &out);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -91,13 +91,13 @@ void BM_WithPushdownCached(benchmark::State& state) {
   auto context = fx.Contexts(64);
   std::vector<uint32_t> ann_iters(64);
   for (const auto& r : context) ann_iters[r.ann] = r.iter;
-  const std::vector<so::RegionEntry> candidates =
-      fx.index->Intersect(fx.needle_pres);
+  const so::RegionColumnsData candidates =
+      fx.index->IntersectColumns(fx.needle_pres);
   for (auto _ : state) {
     std::vector<so::IterMatch> out;
-    auto st = so::LoopLiftedStandoffJoin(
-        so::StandoffOp::kSelectNarrow, context, ann_iters, candidates,
-        *fx.index, fx.needle_pres, 64, &out);
+    auto st = so::LoopLiftedStandoffJoinColumns(
+        so::StandoffOp::kSelectNarrow, context, ann_iters, candidates.View(),
+        fx.needle_pres, 64, &out);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -112,9 +112,9 @@ void BM_WithoutPushdown(benchmark::State& state) {
   for (auto _ : state) {
     // Join against everything, filter the matches by name afterwards.
     std::vector<so::IterMatch> out;
-    auto st = so::LoopLiftedStandoffJoin(
-        so::StandoffOp::kSelectNarrow, context, ann_iters,
-        fx.index->entries(), *fx.index, fx.index->annotated_ids(), 64, &out);
+    auto st = so::LoopLiftedStandoffJoinColumns(
+        so::StandoffOp::kSelectNarrow, context, ann_iters, fx.index->columns(),
+        fx.index->annotated_ids(), 64, &out);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     std::vector<so::IterMatch> filtered;
     for (const so::IterMatch& m : out) {
@@ -127,8 +127,8 @@ void BM_WithoutPushdown(benchmark::State& state) {
 void BM_IndexIntersectionOnly(benchmark::State& state) {
   PushdownFixture fx(100000, state.range(0));
   for (auto _ : state) {
-    std::vector<so::RegionEntry> candidates =
-        fx.index->Intersect(fx.needle_pres);
+    so::RegionColumnsData candidates =
+        fx.index->IntersectColumns(fx.needle_pres);
     benchmark::DoNotOptimize(candidates);
   }
   state.counters["candidates"] =

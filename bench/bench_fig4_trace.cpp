@@ -59,9 +59,9 @@ int main() {
   so::JoinOptions options;
   options.trace = &trace;
   std::vector<so::IterMatch> out;
-  Status st = so::LoopLiftedStandoffJoin(
-      so::StandoffOp::kSelectNarrow, context, ann_iters, index.entries(),
-      index, index.annotated_ids(), 2, &out, options);
+  Status st = so::LoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+      index.annotated_ids(), 2, &out, options);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;

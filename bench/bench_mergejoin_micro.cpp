@@ -49,9 +49,10 @@ Workload MakeWorkload(size_t candidates, uint32_t iters) {
              iters};
   const storage::Span<storage::Pre> ann_ids = w.index.annotated_ids();
   w.candidate_ids.assign(ann_ids.begin(), ann_ids.end());
-  for (const so::RegionEntry& e : w.index.entries()) {
+  const so::RegionColumns cols = w.index.columns();
+  for (size_t i = 0; i < cols.size; ++i) {
     w.candidate_annotations.push_back(
-        so::AreaAnnotation{e.id, {{e.start, e.end}}});
+        so::AreaAnnotation{cols.id[i], {{cols.start[i], cols.end[i]}}});
   }
   w.context_per_iter.resize(iters);
   const int64_t width = universe / std::max<uint32_t>(iters, 1);
@@ -72,9 +73,9 @@ void BM_LoopLiftedJoin(benchmark::State& state) {
   size_t results = 0;
   for (auto _ : state) {
     std::vector<so::IterMatch> out;
-    auto st = so::LoopLiftedStandoffJoin(
+    auto st = so::LoopLiftedStandoffJoinColumns(
         so::StandoffOp::kSelectNarrow, w.context_rows, w.ann_iters,
-        w.index.entries(), w.index, w.candidate_ids, w.iter_count, &out);
+        w.index.columns(), w.candidate_ids, w.iter_count, &out);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     results = out.size();
     benchmark::DoNotOptimize(out);
@@ -102,10 +103,9 @@ void BM_LoopLiftedJoinSparse(benchmark::State& state) {
     options.gallop = state.range(2) == 1;
     options.arena = &arena;
     std::vector<so::IterMatch> out;
-    auto st = so::LoopLiftedStandoffJoin(
+    auto st = so::LoopLiftedStandoffJoinColumns(
         so::StandoffOp::kSelectNarrow, w.context_rows, w.ann_iters,
-        w.index.entries(), w.index, w.candidate_ids, w.iter_count, &out,
-        options);
+        w.index.columns(), w.candidate_ids, w.iter_count, &out, options);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     results = out.size();
     benchmark::DoNotOptimize(out);
@@ -162,9 +162,9 @@ void BM_SelectWideLoopLifted(benchmark::State& state) {
                             static_cast<uint32_t>(state.range(1)));
   for (auto _ : state) {
     std::vector<so::IterMatch> out;
-    auto st = so::LoopLiftedStandoffJoin(
+    auto st = so::LoopLiftedStandoffJoinColumns(
         so::StandoffOp::kSelectWide, w.context_rows, w.ann_iters,
-        w.index.entries(), w.index, w.candidate_ids, w.iter_count, &out);
+        w.index.columns(), w.candidate_ids, w.iter_count, &out);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -175,9 +175,9 @@ void BM_RejectNarrowLoopLifted(benchmark::State& state) {
                             static_cast<uint32_t>(state.range(1)));
   for (auto _ : state) {
     std::vector<so::IterMatch> out;
-    auto st = so::LoopLiftedStandoffJoin(
+    auto st = so::LoopLiftedStandoffJoinColumns(
         so::StandoffOp::kRejectNarrow, w.context_rows, w.ann_iters,
-        w.index.entries(), w.index, w.candidate_ids, w.iter_count, &out);
+        w.index.columns(), w.candidate_ids, w.iter_count, &out);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

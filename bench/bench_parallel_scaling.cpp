@@ -79,10 +79,9 @@ void BM_ParallelLoopLifted(benchmark::State& state) {
   size_t results = 0;
   for (auto _ : state) {
     std::vector<so::IterMatch> out;
-    auto st = so::ParallelLoopLiftedStandoffJoin(
+    auto st = so::ParallelLoopLiftedStandoffJoinColumns(
         so::StandoffOp::kSelectNarrow, w.context_rows, w.ann_iters,
-        w.index.entries(), w.index, w.candidate_ids, w.iter_count, &out,
-        options);
+        w.index.columns(), w.candidate_ids, w.iter_count, &out, options);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     results = out.size();
     benchmark::DoNotOptimize(out);
@@ -110,10 +109,9 @@ void BM_ParallelSelectWide(benchmark::State& state) {
   options.iter_blocks = threads;
   for (auto _ : state) {
     std::vector<so::IterMatch> out;
-    auto st = so::ParallelLoopLiftedStandoffJoin(
+    auto st = so::ParallelLoopLiftedStandoffJoinColumns(
         so::StandoffOp::kSelectWide, w.context_rows, w.ann_iters,
-        w.index.entries(), w.index, w.candidate_ids, w.iter_count, &out,
-        options);
+        w.index.columns(), w.candidate_ids, w.iter_count, &out, options);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

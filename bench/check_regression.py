@@ -15,7 +15,7 @@ factor. A ratio gate is skipped (not failed) when the fast row's
 simd_level counter is 0: the host resolved auto-dispatch to scalar, so
 both rows ran identical code.
 
-Results whose gbench context reports a non-release benchmark library
+Results whose harness context reports a non-release benchmark library
 (library_build_type != "release") are rejected outright — debug-built
 timing harnesses produce numbers that gate nothing meaningful. Set
 STANDOFF_BENCH_ALLOW_NON_RELEASE=1 to compare them anyway.
@@ -44,7 +44,8 @@ def main() -> int:
             if build != "release":
                 failures.append(
                     f"{binary}: benchmark library_build_type={build!r} "
-                    "(need 'release'; see STANDOFF_GBENCH_FROM_SOURCE)")
+                    "(need 'release'; reconfigure with "
+                    "CMAKE_BUILD_TYPE=Release)")
     for binary, metrics in baseline["metrics"].items():
         runs = {b["name"]: b
                 for b in results.get(binary, {}).get("benchmarks", [])}

@@ -21,6 +21,7 @@ struct Flags {
   std::string format = "console";
   double min_time = 0.5;       // seconds, like gbench's default
   int64_t fixed_iterations = 0;  // from the "<N>x" min_time form
+  int repetitions = 1;           // --benchmark_repetitions
   bool list_tests = false;
 };
 
@@ -91,12 +92,16 @@ std::string JsonEscape(const std::string& text) {
 
 struct RunResult {
   std::string name;
+  std::string run_name;        // name without the aggregate suffix
+  bool aggregate = false;      // the "<name>_mean" row of a repetition set
+  int repetitions = 1;
+  int repetition_index = 0;
   TimeUnit unit = kNanosecond;
   int64_t iterations = 0;
   double real_time = 0;  // per iteration, in `unit`
   double cpu_time = 0;
   UserCounters counters;
-  int64_t bytes_processed = 0;
+  double bytes_per_second = 0;  // 0 = the bench set no byte count
   int64_t items_processed = 0;
   bool error = false;
   std::string error_message;
@@ -141,6 +146,7 @@ class BenchmarkRunner {
     RunResult result;
     result.name = bench.name();
     for (int64_t arg : args) result.name += "/" + std::to_string(arg);
+    result.run_name = result.name;
     result.unit = bench.unit();
 
     const double min_time =
@@ -174,7 +180,11 @@ class BenchmarkRunner {
             entry.second.value /= std::max(cpu, 1e-12);
           }
         }
-        result.bytes_processed = state.bytes_processed_;
+        if (state.bytes_processed_ > 0) {
+          result.bytes_per_second =
+              static_cast<double>(state.bytes_processed_) /
+              std::max(cpu, 1e-12);
+        }
         result.items_processed = state.items_processed_;
         return result;
       }
@@ -213,6 +223,8 @@ void Initialize(int* argc, char** argv) {
         if (!text.empty() && text.back() == 's') text.pop_back();
         flags.min_time = std::atof(text.c_str());
       }
+    } else if (const char* v = value_of("--benchmark_repetitions")) {
+      flags.repetitions = std::max(1, std::atoi(v));
     } else if (std::strcmp(arg, "--benchmark_list_tests") == 0 ||
                std::strcmp(arg, "--benchmark_list_tests=true") == 0) {
       flags.list_tests = true;
@@ -241,6 +253,31 @@ void AddCustomContext(const std::string& key, const std::string& value) {
 
 namespace {
 
+/// gbench's "<name>_mean" aggregate over one variant's repetitions:
+/// per-iteration times and counters averaged, iterations = repetition
+/// count. An errored repetition makes the aggregate an error row too.
+RunResult MeanOf(const RunResult* reps, int count) {
+  RunResult mean = reps[0];
+  mean.name = reps[0].run_name + "_mean";
+  mean.aggregate = true;
+  mean.repetition_index = 0;
+  mean.iterations = count;
+  mean.real_time = 0;
+  mean.cpu_time = 0;
+  mean.bytes_per_second = 0;
+  for (auto& entry : mean.counters) entry.second.value = 0;
+  for (int i = 0; i < count; ++i) {
+    mean.error = mean.error || reps[i].error;
+    mean.real_time += reps[i].real_time / count;
+    mean.cpu_time += reps[i].cpu_time / count;
+    mean.bytes_per_second += reps[i].bytes_per_second / count;
+    for (const auto& [key, counter] : reps[i].counters) {
+      mean.counters[key].value += counter.value / count;
+    }
+  }
+  return mean;
+}
+
 void PrintJson(const std::vector<RunResult>& results) {
 #if defined(NDEBUG)
   const char* build_type = "release";
@@ -265,10 +302,15 @@ void PrintJson(const std::vector<RunResult>& results) {
     std::printf("    {\n");
     std::printf("      \"name\": \"%s\",\n", JsonEscape(run.name).c_str());
     std::printf("      \"run_name\": \"%s\",\n",
-                JsonEscape(run.name).c_str());
-    std::printf("      \"run_type\": \"iteration\",\n");
-    std::printf("      \"repetitions\": 1,\n");
-    std::printf("      \"repetition_index\": 0,\n");
+                JsonEscape(run.run_name).c_str());
+    if (run.aggregate) {
+      std::printf("      \"run_type\": \"aggregate\",\n");
+      std::printf("      \"aggregate_name\": \"mean\",\n");
+    } else {
+      std::printf("      \"run_type\": \"iteration\",\n");
+    }
+    std::printf("      \"repetitions\": %d,\n", run.repetitions);
+    std::printf("      \"repetition_index\": %d,\n", run.repetition_index);
     std::printf("      \"threads\": 1,\n");
     if (run.error) {
       std::printf("      \"error_occurred\": true,\n");
@@ -283,12 +325,9 @@ void PrintJson(const std::vector<RunResult>& results) {
       std::printf("      \"%s\": %.6g,\n", JsonEscape(key).c_str(),
                   counter.value);
     }
-    if (run.bytes_processed > 0) {
+    if (run.bytes_per_second > 0) {
       std::printf("      \"bytes_per_second\": %.6g,\n",
-                  static_cast<double>(run.bytes_processed) /
-                      std::max(run.cpu_time / UnitScale(run.unit) *
-                                   static_cast<double>(run.iterations),
-                               1e-12));
+                  run.bytes_per_second);
     }
     std::printf("      \"time_unit\": \"%s\"\n", UnitName(run.unit));
     std::printf("    }%s\n", i + 1 == results.size() ? "" : ",");
@@ -343,7 +382,16 @@ size_t RunSpecifiedBenchmarks() {
         continue;
       }
       std::fprintf(stderr, "running %s\n", name.c_str());
-      results.push_back(BenchmarkRunner::Run(*bench, args));
+      const size_t first = results.size();
+      for (int rep = 0; rep < flags.repetitions; ++rep) {
+        RunResult run = BenchmarkRunner::Run(*bench, args);
+        run.repetitions = flags.repetitions;
+        run.repetition_index = rep;
+        results.push_back(std::move(run));
+      }
+      if (flags.repetitions > 1) {
+        results.push_back(MeanOf(results.data() + first, flags.repetitions));
+      }
     }
   }
   if (flags.list_tests) return matched;

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs the google-benchmark micro-benchmarks with JSON output and merges
+# Runs the minibench micro-benchmarks with JSON output and merges
 # them into BENCH_results.json at the repo root, so the performance
 # trajectory is machine-readable PR over PR.
 #
@@ -7,13 +7,13 @@
 # timings are misleading and have silently polluted results files in
 # other projects. Set STANDOFF_BENCH_ALLOW_NON_RELEASE=1 to override
 # (the results then still carry the real build type in the JSON
-# context emitted by google-benchmark).
+# context emitted by the harness).
 #
 # A bench binary that exits nonzero is reported and makes the script
 # exit nonzero AFTER the remaining benches have run — one broken bench
 # must neither mask the others nor be masked by them.
 #
-# Usage: bench/run_bench.sh [--check] [build-dir] [extra gbench flags...]
+# Usage: bench/run_bench.sh [--check] [build-dir] [extra harness flags...]
 #   --check   after merging, diff the key bench_mergejoin_micro and
 #             bench_skew_sparsity metrics against bench/bench_baseline.json
 #             (generous threshold; catches order-of-magnitude regressions)
@@ -97,11 +97,10 @@ if [[ "$ran" -eq 0 ]]; then
 fi
 
 # Merge: one top-level object keyed by benchmark binary. Refuses to
-# record results whose own gbench context says the benchmark LIBRARY was
-# a debug build (the distro libbenchmark trap: the project can be
-# Release while a debug-built gbench skews and mislabels every number).
-# STANDOFF_BENCH_ALLOW_NON_RELEASE=1 overrides, as for the project
-# build-type check above.
+# record results whose own harness context says the benchmark LIBRARY
+# was not a release build (a bench binary built against a debug harness
+# skews and mislabels every number). STANDOFF_BENCH_ALLOW_NON_RELEASE=1
+# overrides, as for the project build-type check above.
 python3 - "$OUT" "$TMP_DIR" \
         "${STANDOFF_BENCH_ALLOW_NON_RELEASE:-0}" <<'PY'
 import json, pathlib, sys
@@ -116,8 +115,7 @@ for path in sorted(pathlib.Path(tmp_dir).glob("*.json")):
 if debug_contexts and not allow_debug:
     print("refusing to record non-release benchmark-library contexts:\n  "
           + "\n  ".join(debug_contexts)
-          + "\n(reconfigure with STANDOFF_GBENCH_FROM_SOURCE=ON and "
-          "CMAKE_BUILD_TYPE=Release, or set "
+          + "\n(reconfigure with CMAKE_BUILD_TYPE=Release, or set "
           "STANDOFF_BENCH_ALLOW_NON_RELEASE=1)", file=sys.stderr)
     sys.exit(1)
 pathlib.Path(out_path).write_text(json.dumps(merged, indent=2) + "\n")

@@ -335,9 +335,24 @@ void Server::AcceptLoop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    live_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ConnectionLoop(fd); });
+    std::vector<std::thread> exited;
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      for (const std::thread::id id : finished_threads_) {
+        for (size_t i = 0; i < conn_threads_.size(); ++i) {
+          if (conn_threads_[i].get_id() == id) {
+            exited.push_back(std::move(conn_threads_[i]));
+            conn_threads_[i] = std::move(conn_threads_.back());
+            conn_threads_.pop_back();
+            break;
+          }
+        }
+      }
+      finished_threads_.clear();
+      live_fds_.push_back(fd);
+      conn_threads_.emplace_back([this, fd] { ConnectionLoop(fd); });
+    }
+    for (std::thread& thread : exited) thread.join();
   }
 }
 
@@ -411,6 +426,7 @@ void Server::ConnectionLoop(int fd) {
         break;
       }
     }
+    finished_threads_.push_back(std::this_thread::get_id());
   }
   live_connections_.fetch_sub(1, std::memory_order_release);
 }
@@ -683,6 +699,7 @@ void Server::Stop() {
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     threads.swap(conn_threads_);
+    finished_threads_.clear();
   }
   for (auto& thread : threads) {
     if (thread.joinable()) thread.join();

@@ -224,6 +224,10 @@ class Server {
   std::thread accept_thread_;
   std::mutex conns_mu_;
   std::vector<std::thread> conn_threads_;
+  /// Connection threads that have left ConnectionLoop; the accept loop
+  /// joins them before spawning the next one, so exited connections do
+  /// not keep their stacks mapped.
+  std::vector<std::thread::id> finished_threads_;
   std::vector<int> live_fds_;
   std::atomic<int64_t> live_connections_{0};
 

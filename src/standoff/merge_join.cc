@@ -582,10 +582,8 @@ void ComplementFromKeys(const std::vector<IterRegion>& context,
   }
 }
 
-}  // namespace
-
-namespace detail {
-
+/// Context annotations flattened to iteration-0 rows: the single-call
+/// form of the basic join.
 std::vector<IterRegion> SingleIterationRows(
     const std::vector<AreaAnnotation>& context) {
   std::vector<IterRegion> rows;
@@ -597,6 +595,10 @@ std::vector<IterRegion> SingleIterationRows(
   }
   return rows;
 }
+
+}  // namespace
+
+namespace detail {
 
 storage::Span<storage::Pre> NormalizeUniverse(
     storage::Span<storage::Pre> ids, std::vector<storage::Pre>* scratch) {
@@ -679,21 +681,10 @@ void NaiveStandoffJoin(StandoffOp op,
                        const std::vector<AreaAnnotation>& context,
                        const std::vector<AreaAnnotation>& candidates,
                        std::vector<storage::Pre>* out) {
-  NaiveStandoffJoinSpan(op, context, candidates.data(),
-                        candidates.data() + candidates.size(), out);
-}
-
-void NaiveStandoffJoinSpan(StandoffOp op,
-                           const std::vector<AreaAnnotation>& context,
-                           const AreaAnnotation* cand_begin,
-                           const AreaAnnotation* cand_end,
-                           std::vector<storage::Pre>* out) {
   out->clear();
   const bool narrow = IsNarrow(op);
   const bool reject = IsReject(op);
-  for (const AreaAnnotation* cand_it = cand_begin; cand_it != cand_end;
-       ++cand_it) {
-    const AreaAnnotation& cand = *cand_it;
+  for (const AreaAnnotation& cand : candidates) {
     bool matched = false;
     for (const AreaAnnotation& c : context) {
       for (const Region& a : c.regions) {
@@ -722,30 +713,12 @@ Status BasicStandoffJoinColumns(StandoffOp op,
                                 storage::Span<storage::Pre> candidate_ids,
                                 std::vector<storage::Pre>* out,
                                 JoinOptions options) {
-  const std::vector<IterRegion> rows = detail::SingleIterationRows(context);
+  const std::vector<IterRegion> rows = SingleIterationRows(context);
   const std::vector<uint32_t> ann_iters(context.size(), 0);
   std::vector<IterMatch> matches;
   STANDOFF_RETURN_IF_ERROR(LoopLiftedStandoffJoinColumns(
       op, rows, ann_iters, candidates, candidate_ids,
       /*iter_count=*/1, &matches, options));
-  out->clear();
-  out->reserve(matches.size());
-  for (const IterMatch& m : matches) out->push_back(m.pre);
-  return Status::OK();
-}
-
-Status BasicStandoffJoin(StandoffOp op,
-                         const std::vector<AreaAnnotation>& context,
-                         const std::vector<RegionEntry>& candidates,
-                         const RegionIndex& index,
-                         storage::Span<storage::Pre> candidate_ids,
-                         std::vector<storage::Pre>* out) {
-  const std::vector<IterRegion> rows = detail::SingleIterationRows(context);
-  const std::vector<uint32_t> ann_iters(context.size(), 0);
-  std::vector<IterMatch> matches;
-  STANDOFF_RETURN_IF_ERROR(LoopLiftedStandoffJoin(
-      op, rows, ann_iters, candidates, index, candidate_ids,
-      /*iter_count=*/1, &matches));
   out->clear();
   out->reserve(matches.size());
   for (const IterMatch& m : matches) out->push_back(m.pre);
@@ -863,31 +836,6 @@ Status LoopLiftedStandoffJoinColumns(
   ComplementFromKeys(ctx, keys, universe, iter_count, &arena->iter_present,
                      out);
   return Status::OK();
-}
-
-Status LoopLiftedStandoffJoin(StandoffOp op,
-                              const std::vector<IterRegion>& context,
-                              const std::vector<uint32_t>& ann_iters,
-                              const std::vector<RegionEntry>& candidates,
-                              const RegionIndex& index,
-                              storage::Span<storage::Pre> candidate_ids,
-                              uint32_t iter_count,
-                              std::vector<IterMatch>* out,
-                              JoinOptions options) {
-  if (&candidates == &index.entries()) {
-    return LoopLiftedStandoffJoinColumns(op, context, ann_iters,
-                                         index.columns(), candidate_ids,
-                                         iter_count, out, options);
-  }
-  // External AoS sequence: transpose into temporary columns. Append
-  // tracks start order, so an in-order vector skips re-verification and
-  // an out-of-order one is rejected by the columnar kernel.
-  RegionColumnsData cols;
-  cols.Reserve(candidates.size());
-  for (const RegionEntry& e : candidates) cols.Append(e.start, e.end, e.id);
-  return LoopLiftedStandoffJoinColumns(op, context, ann_iters, cols.View(),
-                                       candidate_ids, iter_count, out,
-                                       options);
 }
 
 }  // namespace so

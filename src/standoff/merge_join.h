@@ -1,14 +1,16 @@
 // The three StandOff join implementations the paper compares
 // (Sections 4.4–4.5):
 //
-//   NaiveStandoffJoin      — quadratic reference: every context region ×
-//                            every candidate annotation.
-//   BasicStandoffJoin      — one merge pass over sorted inputs per CALL;
-//                            a nested query invokes it once per loop
-//                            iteration, re-scanning the index each time.
-//   LoopLiftedStandoffJoin — one merge pass TOTAL: context regions carry
-//                            their loop iteration and the pass answers
-//                            every iteration at once (Figure 4).
+//   NaiveStandoffJoin             — quadratic reference: every context
+//                                   region × every candidate annotation.
+//   BasicStandoffJoinColumns      — one merge pass over sorted inputs per
+//                                   CALL; a nested query invokes it once
+//                                   per loop iteration, re-scanning the
+//                                   index each time.
+//   LoopLiftedStandoffJoinColumns — one merge pass TOTAL: context regions
+//                                   carry their loop iteration and the
+//                                   pass answers every iteration at once
+//                                   (Figure 4).
 //
 // All four operators are supported: select-narrow (candidates contained
 // in a context region of the same iteration), select-wide (candidates
@@ -20,9 +22,7 @@
 // and when the active list is empty it GALLOPS (exponential + binary
 // search over the start column) past every candidate that provably
 // cannot match — sparse and skewed workloads become output-bounded
-// instead of index-bounded. The AoS `std::vector<RegionEntry>`
-// overloads remain as shims for tests; they forward to the columnar
-// kernels.
+// instead of index-bounded.
 //
 // The loop-lifted kernel keeps an *active list* of context regions whose
 // end has not yet passed the merge cursor. Two interchangeable structures
@@ -205,15 +205,6 @@ void NaiveStandoffJoin(StandoffOp op,
                        const std::vector<AreaAnnotation>& candidates,
                        std::vector<storage::Pre>* out);
 
-/// Span form: candidates in [cand_begin, cand_end), no copy. Each
-/// annotation is judged independently, so any chunk of a candidate
-/// list yields exactly that chunk's share of the output.
-void NaiveStandoffJoinSpan(StandoffOp op,
-                           const std::vector<AreaAnnotation>& context,
-                           const AreaAnnotation* cand_begin,
-                           const AreaAnnotation* cand_end,
-                           std::vector<storage::Pre>* out);
-
 /// Single-iteration merge join over candidate columns (sorted by start;
 /// verified unless the view promises `start_sorted`). `candidate_ids` is
 /// the sorted candidate universe the reject- operators complement
@@ -224,16 +215,6 @@ Status BasicStandoffJoinColumns(StandoffOp op,
                                 storage::Span<storage::Pre> candidate_ids,
                                 std::vector<storage::Pre>* out,
                                 JoinOptions options = JoinOptions());
-
-/// AoS shim over BasicStandoffJoinColumns, kept for tests. When
-/// `candidates` is `index.entries()` the index's own columns are used
-/// zero-copy; otherwise the vector is transposed into temporary columns.
-Status BasicStandoffJoin(StandoffOp op,
-                         const std::vector<AreaAnnotation>& context,
-                         const std::vector<RegionEntry>& candidates,
-                         const RegionIndex& index,
-                         storage::Span<storage::Pre> candidate_ids,
-                         std::vector<storage::Pre>* out);
 
 /// The loop-lifted kernel: answers all `iter_count` loop iterations in
 /// one merge pass over the candidate columns. `ann_iters[ann]` must give
@@ -246,27 +227,9 @@ Status LoopLiftedStandoffJoinColumns(
     storage::Span<storage::Pre> candidate_ids, uint32_t iter_count,
     std::vector<IterMatch>* out, JoinOptions options = JoinOptions());
 
-/// AoS shim over LoopLiftedStandoffJoinColumns, kept for tests; the
-/// `index.entries()` identity is detected and served zero-copy from the
-/// index's columns.
-Status LoopLiftedStandoffJoin(StandoffOp op,
-                              const std::vector<IterRegion>& context,
-                              const std::vector<uint32_t>& ann_iters,
-                              const std::vector<RegionEntry>& candidates,
-                              const RegionIndex& index,
-                              storage::Span<storage::Pre> candidate_ids,
-                              uint32_t iter_count,
-                              std::vector<IterMatch>* out,
-                              JoinOptions options = JoinOptions());
-
-// Pieces of the serial kernel the parallel variants reuse, so the two
+// Pieces of the serial kernel the parallel variant reuses, so the two
 // paths cannot drift apart.
 namespace detail {
-
-/// Context annotations flattened to iteration-0 rows: the shared
-/// single-call form of BasicStandoffJoin and its parallel variant.
-std::vector<IterRegion> SingleIterationRows(
-    const std::vector<AreaAnnotation>& context);
 
 /// Sorted, duplicate-free view of `ids`; `*scratch` is filled only
 /// when the input needs normalizing.

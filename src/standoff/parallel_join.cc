@@ -321,100 +321,6 @@ Status ParallelLoopLiftedStandoffJoinColumns(
   return Status::OK();
 }
 
-Status ParallelLoopLiftedStandoffJoin(
-    StandoffOp op, const std::vector<IterRegion>& context,
-    const std::vector<uint32_t>& ann_iters,
-    const std::vector<RegionEntry>& candidates, const RegionIndex& index,
-    storage::Span<storage::Pre> candidate_ids, uint32_t iter_count,
-    std::vector<IterMatch>* out, const ParallelJoinOptions& options) {
-  if (&candidates == &index.entries()) {
-    return ParallelLoopLiftedStandoffJoinColumns(
-        op, context, ann_iters, index.columns(), candidate_ids, iter_count,
-        out, options);
-  }
-  RegionColumnsData cols;
-  cols.Reserve(candidates.size());
-  for (const RegionEntry& e : candidates) cols.Append(e.start, e.end, e.id);
-  return ParallelLoopLiftedStandoffJoinColumns(
-      op, context, ann_iters, cols.View(), candidate_ids, iter_count, out,
-      options);
-}
-
-Status ParallelBasicStandoffJoinColumns(
-    StandoffOp op, const std::vector<AreaAnnotation>& context,
-    RegionColumns candidates, storage::Span<storage::Pre> candidate_ids,
-    std::vector<storage::Pre>* out, ThreadPool* pool,
-    uint32_t candidate_shards, JoinArenaPool* arenas, JoinOptions join) {
-  const std::vector<IterRegion> rows = detail::SingleIterationRows(context);
-  const std::vector<uint32_t> ann_iters(context.size(), 0);
-  ParallelJoinOptions options;
-  options.pool = pool;
-  options.iter_blocks = 1;  // a single call is a single iteration
-  options.candidate_shards = candidate_shards;
-  options.arenas = arenas;
-  options.join = join;
-  std::vector<IterMatch> matches;
-  STANDOFF_RETURN_IF_ERROR(ParallelLoopLiftedStandoffJoinColumns(
-      op, rows, ann_iters, candidates, candidate_ids,
-      /*iter_count=*/1, &matches, options));
-  out->clear();
-  out->reserve(matches.size());
-  for (const IterMatch& m : matches) out->push_back(m.pre);
-  return Status::OK();
-}
-
-Status ParallelBasicStandoffJoin(StandoffOp op,
-                                 const std::vector<AreaAnnotation>& context,
-                                 const std::vector<RegionEntry>& candidates,
-                                 const RegionIndex& index,
-                                 storage::Span<storage::Pre> candidate_ids,
-                                 std::vector<storage::Pre>* out,
-                                 ThreadPool* pool,
-                                 uint32_t candidate_shards) {
-  if (&candidates == &index.entries()) {
-    return ParallelBasicStandoffJoinColumns(op, context, index.columns(),
-                                            candidate_ids, out, pool,
-                                            candidate_shards);
-  }
-  RegionColumnsData cols;
-  cols.Reserve(candidates.size());
-  for (const RegionEntry& e : candidates) cols.Append(e.start, e.end, e.id);
-  return ParallelBasicStandoffJoinColumns(op, context, cols.View(),
-                                          candidate_ids, out, pool,
-                                          candidate_shards);
-}
-
-Status ParallelNaiveStandoffJoin(StandoffOp op,
-                                 const std::vector<AreaAnnotation>& context,
-                                 const std::vector<AreaAnnotation>& candidates,
-                                 std::vector<storage::Pre>* out,
-                                 ThreadPool* pool, uint32_t num_tasks) {
-  out->clear();
-  const size_t workers = pool ? pool->num_workers() : 0;
-  const size_t tasks_wanted = num_tasks > 0 ? num_tasks : workers + 1;
-  const size_t tasks =
-      std::min<size_t>(std::max<size_t>(tasks_wanted, 1), candidates.size());
-  if (workers == 0 || tasks <= 1) {
-    NaiveStandoffJoin(op, context, candidates, out);
-    return Status::OK();
-  }
-  std::vector<std::vector<storage::Pre>> chunk_out(tasks);
-  STANDOFF_RETURN_IF_ERROR(ParallelFor(
-      pool, 0, tasks, [&](size_t t) -> Status {
-        const size_t lo = candidates.size() * t / tasks;
-        const size_t hi = candidates.size() * (t + 1) / tasks;
-        NaiveStandoffJoinSpan(op, context, candidates.data() + lo,
-                              candidates.data() + hi, &chunk_out[t]);
-        return Status::OK();
-      }));
-  for (const std::vector<storage::Pre>& chunk : chunk_out) {
-    out->insert(out->end(), chunk.begin(), chunk.end());
-  }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
-  return Status::OK();
-}
-
 StatusOr<ShardedRegionIndexes> ShardedRegionIndexes::Build(
     const storage::ShardedStore& store, const StandoffConfig& config,
     ThreadPool* pool) {

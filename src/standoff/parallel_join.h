@@ -1,5 +1,6 @@
-// Parallel variants of the three StandOff join kernels, plus the
-// per-shard region-index builder.
+// The parallel loop-lifted StandOff join kernel, plus the per-shard
+// region-index builder. The per-iteration baselines (basic, naive) stay
+// serial: they are the paper's slow alternatives, not serving paths.
 //
 // The loop-lifted merge pass parallelizes on two independent axes:
 //
@@ -67,46 +68,6 @@ Status ParallelLoopLiftedStandoffJoinColumns(
     const std::vector<uint32_t>& ann_iters, RegionColumns candidates,
     storage::Span<storage::Pre> candidate_ids, uint32_t iter_count,
     std::vector<IterMatch>* out, const ParallelJoinOptions& options);
-
-/// AoS shim over ParallelLoopLiftedStandoffJoinColumns, kept for tests;
-/// `index.entries()` is detected and served zero-copy from the index's
-/// columns.
-Status ParallelLoopLiftedStandoffJoin(
-    StandoffOp op, const std::vector<IterRegion>& context,
-    const std::vector<uint32_t>& ann_iters,
-    const std::vector<RegionEntry>& candidates, const RegionIndex& index,
-    storage::Span<storage::Pre> candidate_ids, uint32_t iter_count,
-    std::vector<IterMatch>* out, const ParallelJoinOptions& options);
-
-/// Parallel BasicStandoffJoin over candidate columns: the single merge
-/// pass split across candidate shards (there is only one iteration to
-/// split).
-Status ParallelBasicStandoffJoinColumns(
-    StandoffOp op, const std::vector<AreaAnnotation>& context,
-    RegionColumns candidates, storage::Span<storage::Pre> candidate_ids,
-    std::vector<storage::Pre>* out, ThreadPool* pool,
-    uint32_t candidate_shards, JoinArenaPool* arenas = nullptr,
-    JoinOptions join = JoinOptions());
-
-/// AoS shim over ParallelBasicStandoffJoinColumns, kept for tests.
-Status ParallelBasicStandoffJoin(StandoffOp op,
-                                 const std::vector<AreaAnnotation>& context,
-                                 const std::vector<RegionEntry>& candidates,
-                                 const RegionIndex& index,
-                                 storage::Span<storage::Pre> candidate_ids,
-                                 std::vector<storage::Pre>* out,
-                                 ThreadPool* pool,
-                                 uint32_t candidate_shards);
-
-/// Parallel NaiveStandoffJoin: the quadratic reference with the
-/// candidate list split across tasks. Annotations are judged
-/// independently in the serial kernel too, so chunked evaluation is
-/// exact; output stays sorted by id and duplicate-free.
-Status ParallelNaiveStandoffJoin(StandoffOp op,
-                                 const std::vector<AreaAnnotation>& context,
-                                 const std::vector<AreaAnnotation>& candidates,
-                                 std::vector<storage::Pre>* out,
-                                 ThreadPool* pool, uint32_t num_tasks);
 
 /// One RegionIndex per document of a ShardedStore, built with one task
 /// per shard. After Build returns, lookups are const and thread-safe.

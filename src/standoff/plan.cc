@@ -167,24 +167,6 @@ Status RunJoin(const ChainEdge& edge, const EdgePlan& edge_plan,
   return Status::OK();
 }
 
-/// Matched nodes back to context rows for the next edge, via the
-/// layer's region lookup. Matches arrive sorted by (iter, pre), so the
-/// produced rows are sorted by iteration as the kernels expect.
-void MatchesToContext(const std::vector<IterMatch>& matches,
-                      const RegionIndex& index,
-                      std::vector<IterRegion>* ctx,
-                      std::vector<uint32_t>* ann_iters) {
-  ctx->clear();
-  ann_iters->clear();
-  for (const IterMatch& m : matches) {
-    index.ForEachRegionOf(m.pre, [&](int64_t start, int64_t end) {
-      const uint32_t ann = static_cast<uint32_t>(ann_iters->size());
-      ann_iters->push_back(m.iter);
-      ctx->push_back(IterRegion{m.iter, start, end, ann});
-    });
-  }
-}
-
 /// Edges [0, edge_count) in spec order. `last_layer_override` (if
 /// non-null) replaces the FINAL edge's layer — bottom-up's filtered
 /// middle. Output is the final edge's matches.
@@ -337,6 +319,21 @@ Status RunBottomUpLast(const ChainSpec& spec, const ChainPlan& plan,
 }
 
 }  // namespace
+
+void MatchesToContext(const std::vector<IterMatch>& matches,
+                      const RegionIndex& index,
+                      std::vector<IterRegion>* ctx,
+                      std::vector<uint32_t>* ann_iters) {
+  ctx->clear();
+  ann_iters->clear();
+  for (const IterMatch& m : matches) {
+    index.ForEachRegionOf(m.pre, [&](int64_t start, int64_t end) {
+      const uint32_t ann = static_cast<uint32_t>(ann_iters->size());
+      ann_iters->push_back(m.iter);
+      ctx->push_back(IterRegion{m.iter, start, end, ann});
+    });
+  }
+}
 
 ChainPlan PlanChain(const ChainSpec& spec, PlanMode mode) {
   ChainPlan plan;
@@ -501,166 +498,6 @@ void SubPlanMemo::Insert(const std::string& key,
 void SubPlanMemo::Clear() {
   lru_.clear();
   by_hash_.clear();
-}
-
-// ---------------------------------------------------------------------------
-// DAG plans.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-Status ValidateDag(const DagSpec& spec) {
-  if (spec.nodes.empty()) return Status::Invalid("DAG needs at least one node");
-  if (spec.ann_iters.size() != spec.context.size()) {
-    return Status::Invalid("ann_iters must parallel the context rows");
-  }
-  for (size_t n = 0; n < spec.nodes.size(); ++n) {
-    const DagNode& node = spec.nodes[n];
-    if (node.parent >= static_cast<int32_t>(n)) {
-      return Status::Invalid("DAG parents must precede children");
-    }
-    if (node.parent < -1) return Status::Invalid("bad DAG parent index");
-    if (node.output >= static_cast<int32_t>(spec.output_count)) {
-      return Status::Invalid("DAG output index out of range");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-DagPlan PlanDag(const DagSpec& spec) {
-  DagPlan plan;
-  const size_t n = spec.nodes.size();
-  plan.edges.resize(n);
-  // Estimated (rows, width) flowing out of each node, seeded by the
-  // shared context for roots.
-  std::vector<double> out_rows(n, 0), out_width(n, 0), cost(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const DagNode& node = spec.nodes[i];
-    const double ctx_rows =
-        node.parent < 0 ? static_cast<double>(spec.context.size())
-                        : out_rows[static_cast<size_t>(node.parent)];
-    const double ctx_width =
-        node.parent < 0 ? spec.context_stats.AvgWidth()
-                        : out_width[static_cast<size_t>(node.parent)];
-    const EdgeEstimate est = EstimateEdge(
-        node.edge, ctx_rows, ctx_width,
-        static_cast<double>(node.edge.layer.stats.count), spec.iter_count);
-    plan.edges[i] = est.plan;
-    out_rows[i] = est.out_rows;
-    out_width[i] = est.out_width;
-    cost[i] = est.plan.est_cost;
-    plan.est_cost += cost[i];
-  }
-  // Reuse accounting: the unshared figure prices every node once PER
-  // CONSUMING OUTPUT (what independent linear chains would pay).
-  std::vector<size_t> consumers(n, 0);
-  for (size_t i = n; i-- > 0;) {
-    if (spec.nodes[i].output >= 0) ++consumers[i];
-    if (spec.nodes[i].parent >= 0) {
-      consumers[static_cast<size_t>(spec.nodes[i].parent)] += consumers[i];
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    plan.est_cost_unshared += cost[i] * static_cast<double>(consumers[i]);
-  }
-  return plan;
-}
-
-std::string DagPlan::Describe() const {
-  std::string out = "dag";
-  char buf[96];
-  std::snprintf(buf, sizeof buf, " cost=%.3g unshared=%.3g", est_cost,
-                est_cost_unshared);
-  out += buf;
-  for (const EdgePlan& e : edges) {
-    std::snprintf(buf, sizeof buf, " [%s gallop=%d sel=%.3g]",
-                  StandoffOpName(e.op), e.gallop ? 1 : 0,
-                  e.est_match_fraction);
-    out += buf;
-  }
-  return out;
-}
-
-Status ExecuteDag(const DagSpec& spec, const DagPlan& plan,
-                  const ChainExecOptions& options,
-                  std::vector<std::vector<IterMatch>>* outputs,
-                  ChainStats* stats) {
-  outputs->assign(spec.output_count, {});
-  if (stats) *stats = ChainStats{};
-  STANDOFF_RETURN_IF_ERROR(ValidateDag(spec));
-  if (plan.edges.size() != spec.nodes.size()) {
-    return Status::Invalid("plan does not match the DAG's node count");
-  }
-  const size_t n = spec.nodes.size();
-  std::vector<size_t> child_count(n, 0);
-  for (const DagNode& node : spec.nodes) {
-    if (node.parent >= 0) ++child_count[static_cast<size_t>(node.parent)];
-  }
-  if (stats) {
-    for (size_t i = 0; i < n; ++i) {
-      if (child_count[i] >= 2) ++stats->shared_nodes;
-    }
-  }
-  const size_t evictions_before = options.memo ? options.memo->evictions() : 0;
-
-  std::vector<std::vector<IterMatch>> node_matches(n);
-  // Derived context rows, built lazily the first time a child needs
-  // them and shared by every child of the node.
-  std::vector<std::vector<IterRegion>> node_ctx(n);
-  std::vector<std::vector<uint32_t>> node_iters(n);
-  std::vector<uint8_t> node_ctx_built(n, 0);
-
-  for (size_t i = 0; i < n; ++i) {
-    STANDOFF_RETURN_IF_ERROR(Checkpoint(options));
-    const DagNode& node = spec.nodes[i];
-    const std::vector<IterRegion>* ctx = &spec.context;
-    const std::vector<uint32_t>* ann_iters = &spec.ann_iters;
-    if (node.parent >= 0) {
-      const size_t p = static_cast<size_t>(node.parent);
-      if (!node_ctx_built[p]) {
-        if (spec.nodes[p].edge.layer.index == nullptr) {
-          return Status::Invalid("non-leaf DAG node needs a region index");
-        }
-        MatchesToContext(node_matches[p], *spec.nodes[p].edge.layer.index,
-                         &node_ctx[p], &node_iters[p]);
-        node_ctx_built[p] = 1;
-      }
-      ctx = &node_ctx[p];
-      ann_iters = &node_iters[p];
-    }
-    std::shared_ptr<const SubPlanMemo::Entry> cached;
-    if (options.memo && !node.memo_key.empty()) {
-      cached = options.memo->Lookup(node.memo_key);
-      if (stats) {
-        if (cached) {
-          ++stats->memo_hits;
-        } else {
-          ++stats->memo_misses;
-        }
-      }
-    }
-    if (cached) {
-      node_matches[i] = cached->matches;  // splice: a copy of the shared rows
-    } else {
-      STANDOFF_RETURN_IF_ERROR(RunJoin(node.edge, plan.edges[i], node.edge.layer,
-                                       *ctx, *ann_iters, spec.iter_count,
-                                       options, &node_matches[i], stats));
-      if (options.memo && !node.memo_key.empty()) {
-        auto entry = std::make_shared<SubPlanMemo::Entry>();
-        entry->matches = node_matches[i];
-        options.memo->Insert(node.memo_key, std::move(entry));
-      }
-    }
-    if (node.output >= 0) {
-      (*outputs)[static_cast<size_t>(node.output)] = node_matches[i];
-    }
-  }
-  if (stats && options.memo) {
-    stats->memo_evictions = options.memo->evictions() - evictions_before;
-  }
-  return Status::OK();
 }
 
 }  // namespace so

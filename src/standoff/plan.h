@@ -26,14 +26,11 @@
 //     to be output-bounded (sparse matches), off when the pass is
 //     dense and the binary searches would outnumber the rows skipped.
 //
-// DagSpec/PlanDag/ExecuteDag generalize the linear chain to a DAG of
-// predicate prefixes over one shared context: a sub-chain referenced by
-// several branches is planned and evaluated ONCE, its matches fanned
-// out to every consumer, and the cost model prices shared nodes once
-// (est_cost vs est_cost_unshared). SubPlanMemo adds cross-execution
-// reuse: evaluated (doc, layer, predicate-prefix) results live in a
-// refcounted, capacity-bounded LRU memo keyed by canonical key strings
-// with full-key verification on every hit.
+// SubPlanMemo is the one sub-plan sharing mechanism: evaluated (doc,
+// layer, predicate-prefix) results live in a refcounted,
+// capacity-bounded LRU memo keyed by canonical key strings with
+// full-key verification on every hit. The engine probes it for the
+// longest cached prefix of each chain (Engine::EvaluateChainShared).
 //
 // Every order and option combination returns byte-identical results:
 // the planner only moves work, never semantics — pinned by the chain
@@ -135,14 +132,12 @@ struct ChainStats {
   size_t bottom_up_kept_rows = 0;  // filtered middle-layer rows kept
   size_t bottom_up_dropped_rows = 0;
   size_t composed_matches = 0;     // low-edge matches visited in compose
-  /// Sub-plan memo probe outcomes for this execution (engine CSE path
-  /// and memo-keyed DAG nodes): probes served from cache, probes that
-  /// had to evaluate, and entries evicted while this execution ran.
+  /// Sub-plan memo probe outcomes for this execution (engine sharing
+  /// path): probes served from cache, probes that had to evaluate, and
+  /// entries evicted while this execution ran.
   size_t memo_hits = 0;
   size_t memo_misses = 0;
   size_t memo_evictions = 0;
-  /// DAG execution only: nodes whose one evaluation fed >= 2 branches.
-  size_t shared_nodes = 0;
 };
 
 /// Memo of evaluated sub-plan results, keyed by a canonical key string
@@ -208,9 +203,6 @@ struct ChainExecOptions {
   /// each join (deadline checks); null means never. Must be safe to
   /// invoke concurrently from pool workers.
   const std::function<Status()>* checkpoint = nullptr;
-  /// Sub-plan memo consulted/populated by ExecuteDag for nodes with a
-  /// non-empty memo_key; null disables memoization.
-  SubPlanMemo* memo = nullptr;
 };
 
 /// Cost-based plan for `spec` under `mode`. Pure estimation — never
@@ -224,65 +216,13 @@ Status ExecuteChain(const ChainSpec& spec, const ChainPlan& plan,
                     const ChainExecOptions& options,
                     std::vector<IterMatch>* out, ChainStats* stats = nullptr);
 
-// ---------------------------------------------------------------------------
-// DAG chain plans: several chains over ONE shared context, with shared
-// sub-chains evaluated once.
-// ---------------------------------------------------------------------------
-
-/// One predicate node of a DAG plan. Nodes form a prefix tree over the
-/// shared context: a sub-chain referenced by several branches appears
-/// once and its join runs once, its matches fanned out to every child
-/// edge and every consumer output. (The consuming queries' plans form a
-/// DAG over sub-chains; because a node's identity is its full predicate
-/// prefix, the shared structure itself is a tree of nodes.)
-struct DagNode {
-  /// Index of the node whose matches provide this node's context rows;
-  /// -1 roots the node at the DAG's shared context. Parents must
-  /// precede children (topological order).
-  int32_t parent = -1;
-  ChainEdge edge;
-  /// >= 0 publishes this node's matches as outputs[output].
-  int32_t output = -1;
-  /// Non-empty + ChainExecOptions::memo set: the node's matches are
-  /// served from / inserted into the memo under this canonical key.
-  std::string memo_key;
-};
-
-struct DagSpec {
-  std::vector<IterRegion> context;
-  std::vector<uint32_t> ann_iters;
-  uint32_t iter_count = 0;
-  storage::RegionStats context_stats;  // over the context rows
-  std::vector<DagNode> nodes;          // parents precede children
-  size_t output_count = 0;
-};
-
-struct DagPlan {
-  std::vector<EdgePlan> edges;   // one per node, in node order
-  double est_cost = 0;           // every node priced ONCE (shared reuse)
-  /// The same work priced as independent linear chains: each node's
-  /// cost multiplied by the number of outputs consuming it. The
-  /// planner's reuse accounting is exactly est_cost <= est_cost_unshared.
-  double est_cost_unshared = 0;
-
-  std::string Describe() const;
-};
-
-/// Cost-based plan for a DAG: per-node gallop choice against the
-/// parent's estimated output, shared nodes priced once. Pure
-/// estimation, like PlanChain.
-DagPlan PlanDag(const DagSpec& spec);
-
-/// Executes the DAG: nodes in topological order, each node's join
-/// evaluated exactly once, derived context rows fanned out to all
-/// children, matches spliced into outputs[node.output]. Each output is
-/// byte-identical to executing its root-to-leaf path as a linear
-/// top-down chain. With ChainExecOptions::memo set, memo-keyed nodes
-/// are served from (or inserted into) the memo.
-Status ExecuteDag(const DagSpec& spec, const DagPlan& plan,
-                  const ChainExecOptions& options,
-                  std::vector<std::vector<IterMatch>>* outputs,
-                  ChainStats* stats = nullptr);
+/// Matched nodes back to context rows for the next edge, via the
+/// layer's region lookup. Matches arrive sorted by (iter, pre), so the
+/// produced rows are sorted by iteration as the kernels expect.
+void MatchesToContext(const std::vector<IterMatch>& matches,
+                      const RegionIndex& index,
+                      std::vector<IterRegion>* ctx,
+                      std::vector<uint32_t>* ann_iters);
 
 }  // namespace so
 }  // namespace standoff

@@ -248,15 +248,6 @@ RegionIndex RegionIndex::FromSortedColumns(RegionColumnsData cols) {
 
 RegionColumns RegionIndex::columns() const { return cols_.View(); }
 
-const std::vector<RegionEntry>& RegionIndex::entries() const {
-  std::call_once(aos_->once, [this] {
-    const RegionColumns view = cols_.View();
-    aos_->rows.resize(view.size);
-    for (size_t i = 0; i < view.size; ++i) aos_->rows[i] = view.row(i);
-  });
-  return aos_->rows;
-}
-
 StatusOr<RegionIndex> RegionIndex::Build(const storage::NodeTable& table,
                                          const ResolvedConfig& config) {
   std::vector<RegionEntry> entries;
@@ -324,15 +315,6 @@ RegionColumnsData RegionIndex::IntersectColumns(
   RegionColumnsData result;
   result.GatherFrom(cols_, selected);
   return result;
-}
-
-std::vector<RegionEntry> RegionIndex::Intersect(
-    storage::Span<storage::Pre> ids) const {
-  const RegionColumnsData cols = IntersectColumns(ids);
-  const RegionColumns view = cols.View();
-  std::vector<RegionEntry> out(view.size);
-  for (size_t i = 0; i < view.size; ++i) out[i] = view.row(i);
-  return out;
 }
 
 bool RegionIndex::RegionOf(storage::Pre id, int64_t* start,

@@ -12,9 +12,9 @@
 // — queries cannot tell the difference, and snapshot-backed indexes pay
 // no heap copy of any column payload.
 //
-// The array-of-structs RegionEntry form survives only as a shim:
-// `entries()` and `Intersect()` keep the tests and the brute-force
-// oracle readable; nothing on the query hot path touches them.
+// The array-of-structs RegionEntry form is only an input format
+// (FromEntries) and the row type of RegionColumns::row(); every reader
+// goes through the columns.
 #ifndef STANDOFF_STANDOFF_REGION_INDEX_H_
 #define STANDOFF_STANDOFF_REGION_INDEX_H_
 
@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -194,12 +193,6 @@ class RegionIndex {
   /// the join kernels consume.
   RegionColumns columns() const;
 
-  /// AoS shim over the same rows, kept for tests and the oracle.
-  /// Materialized lazily on first call (thread-safe), so production
-  /// indexes — whose queries only touch the columns — never pay the
-  /// duplicate row storage.
-  const std::vector<RegionEntry>& entries() const;
-
   /// All annotated node ids, sorted ascending (document order). This is
   /// the candidate universe the reject- operators complement against.
   storage::Span<storage::Pre> annotated_ids() const {
@@ -214,9 +207,6 @@ class RegionIndex {
   /// `ids` is dense relative to the index (O(n + m)), a per-entry binary
   /// search into `ids` when it is sparse (O(n log m)).
   RegionColumnsData IntersectColumns(storage::Span<storage::Pre> ids) const;
-
-  /// AoS shim over IntersectColumns, kept for tests.
-  std::vector<RegionEntry> Intersect(storage::Span<storage::Pre> ids) const;
 
   /// Region of an annotated node; false if the node has no region.
   bool RegionOf(storage::Pre id, int64_t* start, int64_t* end) const;
@@ -240,15 +230,7 @@ class RegionIndex {
  private:
   friend class storage::SnapshotIO;
 
-  /// Lazily-built AoS mirror of the columns; heap-held so RegionIndex
-  /// stays movable and the entries() reference stays stable.
-  struct AosShim {
-    std::once_flag once;
-    std::vector<RegionEntry> rows;
-  };
-
   RegionColumnsData cols_;                 // sorted by (start, end, id)
-  mutable std::unique_ptr<AosShim> aos_ = std::make_unique<AosShim>();
   storage::Column<storage::Pre> annotated_ids_;  // sorted by id
   // Parallel to annotated_ids_: that id's (first) region, for RegionOf.
   storage::Column<int64_t> region_starts_by_id_;

@@ -64,49 +64,27 @@ std::vector<size_t> IterOffsets(const std::vector<Row>& rows,
 }
 
 /// The per-iteration execution pattern shared by the basic and UDF
-/// modes: split `context` into consecutive same-iteration runs, invoke
-/// `join_one(iter, iter_context, fanout, out)` per run — fanned across
-/// the pool when there are several runs, with intra-join fanout
-/// `single_group_fanout` when there is only one — and concatenate the
-/// per-run outputs in iteration order (identical to the serial order).
+/// modes: split `context` into consecutive same-iteration runs and
+/// invoke `join_one(iter, iter_context, out)` per run, serially and in
+/// iteration order. `join_one` appends its run's matches to `out`.
 Status RunIterationGroups(
-    ThreadPool* pool, const std::vector<so::IterRegion>& context,
-    uint32_t single_group_fanout,
+    const std::vector<so::IterRegion>& context,
     const std::function<Status(uint32_t, const std::vector<so::AreaAnnotation>&,
-                               uint32_t, std::vector<so::IterMatch>*)>&
-        join_one,
+                               std::vector<so::IterMatch>*)>& join_one,
     std::vector<so::IterMatch>* matches) {
-  std::vector<std::pair<size_t, size_t>> groups;
+  std::vector<so::AreaAnnotation> iter_context;
   size_t begin = 0;
   while (begin < context.size()) {
+    iter_context.clear();
     size_t end = begin;
-    while (end < context.size() && context[end].iter == context[begin].iter) {
-      ++end;
-    }
-    groups.emplace_back(begin, end);
-    begin = end;
-  }
-
-  std::vector<std::vector<so::IterMatch>> group_out(groups.size());
-  auto run_group = [&](size_t g, uint32_t fanout) -> Status {
-    const auto [lo, hi] = groups[g];
-    std::vector<so::AreaAnnotation> iter_context;
-    iter_context.reserve(hi - lo);
-    for (size_t i = lo; i < hi; ++i) {
+    for (; end < context.size() && context[end].iter == context[begin].iter;
+         ++end) {
       iter_context.push_back(so::AreaAnnotation{
-          0, {so::Region{context[i].start, context[i].end}}});
+          0, {so::Region{context[end].start, context[end].end}}});
     }
-    return join_one(context[lo].iter, iter_context, fanout, &group_out[g]);
-  };
-  if (groups.size() == 1 && pool) {
-    STANDOFF_RETURN_IF_ERROR(run_group(0, single_group_fanout));
-  } else {
-    STANDOFF_RETURN_IF_ERROR(ParallelFor(
-        pool, 0, groups.size(),
-        [&](size_t g) { return run_group(g, /*fanout=*/1); }));
-  }
-  for (const std::vector<so::IterMatch>& g : group_out) {
-    matches->insert(matches->end(), g.begin(), g.end());
+    STANDOFF_RETURN_IF_ERROR(
+        join_one(context[begin].iter, iter_context, matches));
+    begin = end;
   }
   return Status::OK();
 }
@@ -337,16 +315,12 @@ ThreadPool* Engine::ExecPool() {
   return pool_.get();
 }
 
-so::JoinArenaPool* Engine::Arenas() {
-  return options_.exec.reuse_scratch ? &arena_pool_ : nullptr;
-}
-
 so::ParallelJoinOptions Engine::DeriveParallel() {
   so::ParallelJoinOptions parallel;
   parallel.pool = ExecPool();
   parallel.iter_blocks = options_.exec.num_threads;
   parallel.candidate_shards = options_.exec.shard_count;
-  parallel.arenas = Arenas();
+  parallel.arenas = &arena_pool_;
   parallel.join = options_.join;
   return parallel;
 }
@@ -565,25 +539,6 @@ StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
 
 namespace {
 
-/// Matched nodes back to context rows (the plan layer's
-/// MatchesToContext, replicated over the engine's region index):
-/// matches arrive sorted by (iter, pre), so the rows come out sorted by
-/// iteration as the kernels require.
-void DeriveContext(const std::vector<so::IterMatch>& matches,
-                   const so::RegionIndex& index,
-                   std::vector<so::IterRegion>* ctx,
-                   std::vector<uint32_t>* ann_iters) {
-  ctx->clear();
-  ann_iters->clear();
-  for (const so::IterMatch& m : matches) {
-    index.ForEachRegionOf(m.pre, [&](int64_t start, int64_t end) {
-      const uint32_t ann = static_cast<uint32_t>(ann_iters->size());
-      ann_iters->push_back(m.iter);
-      ctx->push_back(so::IterRegion{m.iter, start, end, ann});
-    });
-  }
-}
-
 storage::RegionStats ContextStats(const std::vector<so::IterRegion>& ctx) {
   std::vector<int64_t> starts, ends;
   starts.reserve(ctx.size());
@@ -604,8 +559,7 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
                                    const so::ChainExecOptions& exec,
                                    ChainResult* result) {
   if (!subplan_memo_) {
-    subplan_memo_ =
-        std::make_unique<so::SubPlanMemo>(options_.subplan_memo_capacity);
+    subplan_memo_ = std::make_unique<so::SubPlanMemo>();
   }
   so::SubPlanMemo* memo = subplan_memo_.get();
   const size_t hits0 = memo->hits();
@@ -640,7 +594,7 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
       suffix.ann_iters = spec.ann_iters;
       suffix.context_stats = spec.context_stats;
     } else {
-      DeriveContext(matches, index, &ctx_buf, &iter_buf);
+      so::MatchesToContext(matches, index, &ctx_buf, &iter_buf);
       suffix.context = std::move(ctx_buf);
       suffix.ann_iters = std::move(iter_buf);
       suffix.context_stats = ContextStats(suffix.context);
@@ -649,14 +603,12 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
     const so::ChainPlan suffix_plan =
         so::PlanChain(suffix, options_.plan_mode);
 
-    so::ChainExecOptions suffix_exec = exec;
-    suffix_exec.memo = memo;
     if (suffix_plan.order == so::ChainOrder::kBottomUpLast) {
       // Bottom-up never materializes the intermediate prefixes, so
       // only the full chain's result can be memoized.
       so::ChainStats stats;
       STANDOFF_RETURN_IF_ERROR(
-          so::ExecuteChain(suffix, suffix_plan, suffix_exec, &matches, &stats));
+          so::ExecuteChain(suffix, suffix_plan, exec, &matches, &stats));
       total.joins_run += stats.joins_run;
       total.context_rows_total += stats.context_rows_total;
       total.bottom_up_kept_rows += stats.bottom_up_kept_rows;
@@ -677,14 +629,14 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
           one.context = std::move(suffix.context);
           one.ann_iters = std::move(suffix.ann_iters);
         } else {
-          DeriveContext(matches, index, &one.context, &one.ann_iters);
+          so::MatchesToContext(matches, index, &one.context, &one.ann_iters);
           one.context_stats = ContextStats(one.context);
         }
         one.edges.push_back(spec.edges[e]);
         const so::ChainPlan one_plan = so::PlanChain(one, so::PlanMode::kTopDown);
         so::ChainStats stats;
         STANDOFF_RETURN_IF_ERROR(
-            so::ExecuteChain(one, one_plan, suffix_exec, &matches, &stats));
+            so::ExecuteChain(one, one_plan, exec, &matches, &stats));
         total.joins_run += stats.joins_run;
         total.context_rows_total += stats.context_rows_total;
         auto entry = std::make_shared<so::SubPlanMemo::Entry>();
@@ -700,26 +652,6 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
   total.memo_evictions = memo->evictions() - evictions0;
   result->stats = total;
   return Status::OK();
-}
-
-std::vector<StatusOr<algebra::QueryResult>> Engine::EvaluateBatch(
-    const std::vector<std::string>& queries) {
-  std::vector<StatusOr<algebra::QueryResult>> results;
-  results.reserve(queries.size());
-  // Batch-level CSE at the whole-query granularity: evaluation over an
-  // immutable store is deterministic, so a repeated query text inside
-  // one batch reuses the first occurrence's result.
-  std::map<std::string, size_t> first_slot;
-  for (const std::string& query : queries) {
-    const auto it = first_slot.find(query);
-    if (it != first_slot.end() && options_.share_subplans) {
-      results.push_back(results[it->second]);
-      continue;
-    }
-    if (it == first_slot.end()) first_slot.emplace(query, results.size());
-    results.push_back(Evaluate(query));
-  }
-  return results;
 }
 
 BatchEngine::BatchEngine(const storage::StoreView* store,
@@ -914,27 +846,23 @@ Status Engine::StandoffBasicPerIteration(
     std::vector<so::IterMatch>* matches) {
   StatusOr<const so::RegionIndex*> index = GetIndex(doc);
   if (!index.ok()) return index.status();
-  // One BasicStandoffJoin call per loop iteration, each re-scanning the
+  // One basic merge-join call per loop iteration, each re-scanning the
   // full region index; the name test filters afterwards (no pushdown).
-  // With a pool, iterations fan out across it; a lone iteration instead
-  // splits its merge pass across candidate shards.
-  ThreadPool* pool = ExecPool();
-  return RunIterationGroups(
-      pool, context,
-      std::max<uint32_t>(options_.exec.shard_count,
-                         options_.exec.num_threads),
+  // The baseline runs serially whatever ExecOptions::num_threads says.
+  so::JoinOptions join = options_.join;
+  join.trace = nullptr;  // per-iteration calls have no trace contract
+  join.stats = nullptr;
+  so::JoinArena* arena = arena_pool_.Acquire();
+  join.arena = arena;
+  const Status status = RunIterationGroups(
+      context,
       [&](uint32_t iter, const std::vector<so::AreaAnnotation>& iter_context,
-          uint32_t fanout, std::vector<so::IterMatch>* out) -> Status {
+          std::vector<so::IterMatch>* out) -> Status {
         STANDOFF_RETURN_IF_ERROR(CheckDeadline());
         std::vector<storage::Pre> pres;
-        so::JoinOptions join = options_.join;
-        join.trace = nullptr;  // per-iteration calls have no trace contract
-        join.stats = nullptr;
-        join.arena = nullptr;  // groups may run concurrently: pool arenas only
-        STANDOFF_RETURN_IF_ERROR(so::ParallelBasicStandoffJoinColumns(
+        STANDOFF_RETURN_IF_ERROR(so::BasicStandoffJoinColumns(
             op, iter_context, (*index)->columns(),
-            (*index)->annotated_ids(), &pres, fanout > 1 ? pool : nullptr,
-            fanout, Arenas(), join));
+            (*index)->annotated_ids(), &pres, join));
         for (storage::Pre pre : pres) {
           if (NameMatches(step, doc, pre)) {
             out->push_back(so::IterMatch{iter, pre});
@@ -943,6 +871,8 @@ Status Engine::StandoffBasicPerIteration(
         return Status::OK();
       },
       matches);
+  arena_pool_.Release(arena);
+  return status;
 }
 
 Status Engine::StandoffUdfPerIteration(
@@ -965,13 +895,10 @@ Status Engine::StandoffUdfPerIteration(
     candidate_pres = all_elements;
   }
 
-  // A lone iteration splits the quadratic candidate scan instead of
-  // the iteration loop.
-  ThreadPool* pool = ExecPool();
   return RunIterationGroups(
-      pool, context, options_.exec.num_threads,
+      context,
       [&](uint32_t iter, const std::vector<so::AreaAnnotation>& iter_context,
-          uint32_t fanout, std::vector<so::IterMatch>* out) -> Status {
+          std::vector<so::IterMatch>* out) -> Status {
         STANDOFF_RETURN_IF_ERROR(CheckDeadline());
         // The XQuery-function formulation re-derives every candidate
         // region from its attribute strings on each invocation —
@@ -996,9 +923,7 @@ Status Engine::StandoffUdfPerIteration(
           candidates.push_back(so::AreaAnnotation{pre, {so::Region{rs, re}}});
         }
         std::vector<storage::Pre> pres;
-        STANDOFF_RETURN_IF_ERROR(so::ParallelNaiveStandoffJoin(
-            op, iter_context, candidates, &pres, fanout > 1 ? pool : nullptr,
-            fanout));
+        so::NaiveStandoffJoin(op, iter_context, candidates, &pres);
         for (storage::Pre pre : pres) {
           if (NameMatches(step, doc, pre)) {
             out->push_back(so::IterMatch{iter, pre});

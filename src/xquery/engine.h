@@ -50,20 +50,15 @@ enum class StandoffMode {
 
 const char* StandoffModeName(StandoffMode mode);
 
-/// Parallel-execution knob, honored by all four StandoffModes: the
-/// loop-lifted kernel splits its merge pass into `num_threads`
-/// iteration blocks × `shard_count` candidate shards; the per-iteration
-/// modes (basic, both UDF forms) fan their iteration loop out across
-/// the pool. Results are identical to serial execution for every
-/// setting — the parallel kernels merge deterministically in
-/// (iter, pre) order.
+/// Parallel-execution knob of the loop-lifted kernel: it splits its
+/// merge pass into `num_threads` iteration blocks × `shard_count`
+/// candidate shards. The per-iteration modes (basic, both UDF forms)
+/// are the paper's serial baselines and run serially whatever these
+/// say. Results are identical to serial execution for every setting —
+/// the parallel kernel merges deterministically in (iter, pre) order.
 struct ExecOptions {
   uint32_t num_threads = 1;  // total threads incl. the caller; 1 = serial
   uint32_t shard_count = 1;  // candidate shards per parallel join
-  /// Reuse the engine-owned merge-scratch arenas across queries (the
-  /// allocation-free steady state). Off = every join call uses local
-  /// buffers; only useful for memory diagnostics.
-  bool reuse_scratch = true;
 };
 
 /// The engine layer of the options scheme (DESIGN.md §15): wraps the
@@ -89,8 +84,6 @@ struct EngineOptions {
   /// byte-identical to evaluation with sharing off (differential-
   /// pinned). Off = every chain evaluates from scratch.
   bool share_subplans = true;
-  /// Memo capacity in sub-plan entries (LRU beyond it).
-  size_t subplan_memo_capacity = 256;
 };
 
 /// One predicate step of a multi-predicate chain query: a StandOff axis
@@ -132,12 +125,6 @@ class Engine {
   explicit Engine(const storage::StoreView* store) : store_(store) {}
 
   StatusOr<algebra::QueryResult> Evaluate(const std::string& query_text);
-
-  /// N text queries at once on this engine, sharing its index caches,
-  /// candidate sets, arenas, and worker pool — the amortized form of N
-  /// separate Evaluate calls on N fresh engines.
-  std::vector<StatusOr<algebra::QueryResult>> EvaluateBatch(
-      const std::vector<std::string>& queries);
 
   /// Plans and executes a multi-predicate chain query: candidate
   /// pushdown per layer (skipped when the name covers most of the
@@ -232,11 +219,6 @@ class Engine {
   /// serial.
   ThreadPool* ExecPool();
 
-  /// The engine-owned merge-scratch arenas (ExecOptions::reuse_scratch):
-  /// serial joins and every parallel (block, shard) cell borrow from
-  /// here, so a warmed engine runs its merge passes allocation-free.
-  so::JoinArenaPool* Arenas();
-
   /// The single downward derivation of the options scheme: expands
   /// EngineOptions into the parallel-join decomposition (pool, blocks,
   /// shards, arenas, kernel knobs) every join call consumes. Chain
@@ -253,6 +235,9 @@ class Engine {
       candidate_cache_;
   std::unique_ptr<ThreadPool> pool_;
   size_t pool_workers_ = 0;
+  /// Merge-scratch arenas: serial joins and every parallel (block,
+  /// shard) cell borrow from here, so a warmed engine runs its merge
+  /// passes allocation-free.
   so::JoinArenaPool arena_pool_;
   std::map<storage::DocId, storage::RegionStats> index_stats_cache_;
   std::unique_ptr<so::SubPlanMemo> subplan_memo_;

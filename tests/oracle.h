@@ -15,6 +15,21 @@
 
 namespace test {
 
+/// The AoS rows of a columnar region view, copied out in view order —
+/// what the oracle and the readable row assertions consume.
+inline std::vector<standoff::so::RegionEntry> Rows(
+    standoff::so::RegionColumns cols) {
+  std::vector<standoff::so::RegionEntry> rows(cols.size);
+  for (size_t i = 0; i < cols.size; ++i) rows[i] = cols.row(i);
+  return rows;
+}
+
+/// All entries of `index`, sorted by (start, end, id).
+inline std::vector<standoff::so::RegionEntry> Rows(
+    const standoff::so::RegionIndex& index) {
+  return Rows(index.columns());
+}
+
 /// All (iter, pre) matches of `op`, sorted by (iter, pre) and
 /// duplicate-free — the kernels' canonical output order. `universe` is
 /// the candidate universe the reject- operators complement against

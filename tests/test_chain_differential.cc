@@ -371,43 +371,6 @@ static void TestAnyNameLayers() {
   }
 }
 
-static void TestEvaluateBatchTextQueries() {
-  // Engine::EvaluateBatch: N text queries on one engine, per-slot
-  // status, answers identical to one-at-a-time evaluation.
-  storage::DocumentStore store;
-  CHECK_OK(store.AddDocumentText("play.xml", NestedPlay(4)));
-  const std::vector<std::string> queries{
-      "for $s in //scene return count($s/select-narrow::word)",
-      "//speech/select-narrow::word",
-      "for $s in //scene return $s/((",  // parse error: slot must fail
-      "//scene/select-wide::speech",
-  };
-  xquery::Engine batch_engine(&store);
-  const auto batched = batch_engine.EvaluateBatch(queries);
-  CHECK_EQ(batched.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    xquery::Engine single(&store);
-    auto expected = single.Evaluate(queries[i]);
-    CHECK_EQ(batched[i].ok(), expected.ok());
-    if (!batched[i].ok() || !expected.ok()) continue;
-    CHECK_EQ(batched[i]->items.size(), expected->items.size());
-    for (size_t k = 0; k < expected->items.size() &&
-                       k < batched[i]->items.size();
-         ++k) {
-      const algebra::Item& a = batched[i]->items[k];
-      const algebra::Item& b = expected->items[k];
-      CHECK_EQ(a.kind() == b.kind(), true);
-      if (a.is_node() && b.is_node()) {
-        CHECK(a.stored_node() == b.stored_node());
-      } else if (a.kind() == algebra::Item::Kind::kInt &&
-                 b.kind() == algebra::Item::Kind::kInt) {
-        CHECK_EQ(a.int_value(), b.int_value());
-      }
-    }
-  }
-  CHECK(!batched[2].ok());
-}
-
 static void TestBatchedIdenticalToSequential() {
   // A mixed corpus over sharded stores: the batched executor must be
   // byte-identical to one-query-at-a-time engines for every shard
@@ -627,7 +590,6 @@ int main() {
   RUN_TEST(TestXmarkDerivedChain);
   RUN_TEST(TestChainMatchesFlworPath);
   RUN_TEST(TestAnyNameLayers);
-  RUN_TEST(TestEvaluateBatchTextQueries);
   RUN_TEST(TestBatchedIdenticalToSequential);
   RUN_TEST(TestSharedChainsIdenticalToUnshared);
   RUN_TEST(TestOverlappingBatchesSharedVsIndependent);

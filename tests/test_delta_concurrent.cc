@@ -22,6 +22,7 @@
 #include "storage/sharded_store.h"
 #include "storage/snapshot.h"
 #include "tests/harness.h"
+#include "tests/oracle.h"
 #include "xquery/engine.h"
 
 using namespace standoff;
@@ -162,11 +163,11 @@ static void TestConcurrentWritersReadersCompactor() {
           failures.fetch_add(1);
           continue;
         }
-        if (!EntriesEqual((*ia)->entries(), (*ib)->entries())) {
+        if (!EntriesEqual(test::Rows(**ia), test::Rows(**ib))) {
           failures.fetch_add(1);
         }
         // The merged index must be canonically sorted.
-        const auto& entries = (*ia)->entries();
+        const std::vector<so::RegionEntry> entries = test::Rows(**ia);
         for (size_t i = 1; i < entries.size(); ++i) {
           const auto& p = entries[i - 1];
           const auto& c = entries[i];
@@ -222,9 +223,9 @@ static void TestConcurrentWritersReadersCompactor() {
   CHECK_OK(merged);
   if (merged.ok()) {
     const so::RegionIndex oracle = so::RegionIndex::FromEntries(OracleEntries());
-    if (!EntriesEqual((*merged)->entries(), oracle.entries())) {
+    if (!EntriesEqual(test::Rows(**merged), test::Rows(oracle))) {
       std::fprintf(stderr, "  final state: %zu entries vs oracle %zu\n",
-                   (*merged)->entries().size(), oracle.entries().size());
+                   test::Rows(**merged).size(), test::Rows(oracle).size());
       CHECK(false);
     }
   }
@@ -273,7 +274,7 @@ static void TestAdoptAfterConcurrentWrites() {
   if (merged.ok()) {
     // All 50 racer rows plus the folded pre-freeze row are present.
     size_t racer_rows = 0, folded_rows = 0;
-    for (const auto& e : (*merged)->entries()) {
+    for (const auto& e : test::Rows(**merged)) {
       if (e.id == IdOf(1, 1)) ++racer_rows;
       if (e.id == IdOf(0, 1)) ++folded_rows;
     }

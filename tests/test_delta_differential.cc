@@ -29,6 +29,7 @@
 #include "storage/sharded_store.h"
 #include "storage/snapshot.h"
 #include "tests/harness.h"
+#include "tests/oracle.h"
 #include "xquery/engine.h"
 
 using namespace standoff;
@@ -288,7 +289,7 @@ static void TestMergeBaseDeltaRandomOps() {
     }
     so::RegionIndex base = so::RegionIndex::FromEntries(model.base);
     // The canonical sort may reorder; keep the model in lockstep.
-    model.base = base.entries();
+    model.base = test::Rows(base);
 
     uint64_t seq = 0;
     const int op_count = static_cast<int>(rng.UniformRange(1, 30));

@@ -129,9 +129,9 @@ static void TestFigure4TraceParallel() {
   {
     so::JoinOptions options;
     options.trace = &serial_trace;
-    CHECK_OK(so::LoopLiftedStandoffJoin(
-        so::StandoffOp::kSelectNarrow, context, ann_iters, index.entries(),
-        index, index.annotated_ids(), 2, &serial_out, options));
+    CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+        so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+        index.annotated_ids(), 2, &serial_out, options));
   }
 
   ThreadPool pool(kThreads - 1);
@@ -143,9 +143,9 @@ static void TestFigure4TraceParallel() {
     options.iter_blocks = kThreads;
     options.candidate_shards = kShards;
     options.join.trace = &parallel_trace;
-    CHECK_OK(so::ParallelLoopLiftedStandoffJoin(
-        so::StandoffOp::kSelectNarrow, context, ann_iters, index.entries(),
-        index, index.annotated_ids(), 2, &parallel_out, options));
+    CHECK_OK(so::ParallelLoopLiftedStandoffJoinColumns(
+        so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+        index.annotated_ids(), 2, &parallel_out, options));
   }
 
   CHECK(parallel_out == serial_out);
@@ -164,9 +164,9 @@ static void TestFigure4TraceParallel() {
   options.iter_blocks = kThreads;
   options.candidate_shards = kShards;
   std::vector<so::IterMatch> grid_out;
-  CHECK_OK(so::ParallelLoopLiftedStandoffJoin(
-      so::StandoffOp::kSelectNarrow, context, ann_iters, index.entries(),
-      index, index.annotated_ids(), 2, &grid_out, options));
+  CHECK_OK(so::ParallelLoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+      index.annotated_ids(), 2, &grid_out, options));
   CHECK(grid_out == serial_out);
 }
 

@@ -49,7 +49,7 @@ so::JoinStats CheckBothPaths(so::StandoffOp op,
                              const so::RegionIndex& index,
                              uint32_t iter_count) {
   const std::vector<IterMatch> oracle = test::OracleStandoffJoin(
-      op, context, index.entries(), index.annotated_ids(), iter_count);
+      op, context, test::Rows(index), index.annotated_ids(), iter_count);
   const std::vector<simd::Level> levels = DispatchLevels();
   so::JoinStats gallop_stats;
   bool have_gallop_stats = false;
@@ -60,17 +60,15 @@ so::JoinStats CheckBothPaths(so::StandoffOp op,
     on.gallop = true;
     on.simd = level;
     on.stats = &stats;
-    CHECK_OK(so::LoopLiftedStandoffJoin(op, context, ann_iters,
-                                        index.entries(), index,
-                                        index.annotated_ids(), iter_count,
-                                        &with_gallop, on));
+    CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+        op, context, ann_iters, index.columns(), index.annotated_ids(),
+        iter_count, &with_gallop, on));
     so::JoinOptions off;
     off.gallop = false;
     off.simd = level;
-    CHECK_OK(so::LoopLiftedStandoffJoin(op, context, ann_iters,
-                                        index.entries(), index,
-                                        index.annotated_ids(), iter_count,
-                                        &without_gallop, off));
+    CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+        op, context, ann_iters, index.columns(), index.annotated_ids(),
+        iter_count, &without_gallop, off));
     CHECK(with_gallop == oracle);
     CHECK(without_gallop == oracle);
     if (have_gallop_stats) {
@@ -223,9 +221,7 @@ static void TestDispatchTailsAndSlices() {
       std::vector<IterRegion> context{
           IterRegion{0, span_lo - 1, span_hi, 0},
           IterRegion{1, (span_lo + span_hi) / 2, span_hi + 4, 1}};
-      const std::vector<RegionEntry> slice_entries(
-          index.entries().begin() + static_cast<ptrdiff_t>(lo),
-          index.entries().begin() + static_cast<ptrdiff_t>(lo + len));
+      const std::vector<RegionEntry> slice_entries = test::Rows(slice);
       for (so::StandoffOp op : {so::StandoffOp::kSelectNarrow,
                                 so::StandoffOp::kSelectWide,
                                 so::StandoffOp::kRejectNarrow,
@@ -279,7 +275,7 @@ static void TestGallopAgainstOracleRandomized() {
                               so::StandoffOp::kRejectNarrow,
                               so::StandoffOp::kRejectWide}) {
       const std::vector<IterMatch> oracle = test::OracleStandoffJoin(
-          op, context, index.entries(), index.annotated_ids(), iters);
+          op, context, test::Rows(index), index.annotated_ids(), iters);
       for (so::ActiveListKind kind : {so::ActiveListKind::kSortedList,
                                       so::ActiveListKind::kEndHeap}) {
         for (simd::Level level : DispatchLevels()) {
@@ -287,9 +283,9 @@ static void TestGallopAgainstOracleRandomized() {
           options.active_list = kind;
           options.simd = level;
           std::vector<IterMatch> out;
-          CHECK_OK(so::LoopLiftedStandoffJoin(
-              op, context, ann_iters, index.entries(), index,
-              index.annotated_ids(), iters, &out, options));
+          CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+              op, context, ann_iters, index.columns(), index.annotated_ids(),
+              iters, &out, options));
           CHECK(out == oracle);
         }
       }

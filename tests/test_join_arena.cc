@@ -102,9 +102,9 @@ size_t CountAllocationsOver(int calls, const ArenaWorkload& w,
   g_allocations = 0;
   g_counting = true;
   for (int i = 0; i < calls; ++i) {
-    const Status st = so::LoopLiftedStandoffJoin(
-        op, w.context, w.ann_iters, w.index.entries(), w.index,
-        w.index.annotated_ids(), w.iter_count, out, options);
+    const Status st = so::LoopLiftedStandoffJoinColumns(
+        op, w.context, w.ann_iters, w.index.columns(), w.index.annotated_ids(),
+        w.iter_count, out, options);
     if (!st.ok()) {
       g_counting = false;
       CHECK_OK(st);
@@ -131,8 +131,8 @@ static void TestWarmArenaAllocatesNothing() {
         options.arena = &arena;
         std::vector<IterMatch> out;
         // Warm-up: sizes every arena buffer and the output vector.
-        CHECK_OK(so::LoopLiftedStandoffJoin(
-            op, w.context, w.ann_iters, w.index.entries(), w.index,
+        CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+            op, w.context, w.ann_iters, w.index.columns(),
             w.index.annotated_ids(), w.iter_count, &out, options));
         CHECK(!out.empty());
         const size_t allocs = CountAllocationsOver(5, w, op, options, &out);
@@ -183,12 +183,12 @@ static void TestResultsIdenticalWithAndWithoutArena() {
     so::JoinOptions with;
     with.arena = &arena;
     std::vector<IterMatch> out_arena, out_local;
-    CHECK_OK(so::LoopLiftedStandoffJoin(
-        op, w.context, w.ann_iters, w.index.entries(), w.index,
-        w.index.annotated_ids(), w.iter_count, &out_arena, with));
-    CHECK_OK(so::LoopLiftedStandoffJoin(
-        op, w.context, w.ann_iters, w.index.entries(), w.index,
-        w.index.annotated_ids(), w.iter_count, &out_local, {}));
+    CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+        op, w.context, w.ann_iters, w.index.columns(), w.index.annotated_ids(),
+        w.iter_count, &out_arena, with));
+    CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+        op, w.context, w.ann_iters, w.index.columns(), w.index.annotated_ids(),
+        w.iter_count, &out_local, {}));
     CHECK(out_arena == out_local);
     CHECK(!out_arena.empty());
   }

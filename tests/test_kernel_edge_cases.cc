@@ -56,14 +56,13 @@ static void TestBasicEmptyInputs() {
        {so::StandoffOp::kSelectNarrow, so::StandoffOp::kSelectWide,
         so::StandoffOp::kRejectNarrow, so::StandoffOp::kRejectWide}) {
     std::vector<Pre> out = {99};
-    CHECK_OK(so::BasicStandoffJoin(op, kSomeContext, empty_index.entries(),
-                                   empty_index, empty_index.annotated_ids(),
-                                   &out));
+    CHECK_OK(so::BasicStandoffJoinColumns(op, kSomeContext,
+                                          empty_index.columns(),
+                                          empty_index.annotated_ids(), &out));
     CHECK(out.empty());
     out = {99};
-    CHECK_OK(so::BasicStandoffJoin(op, {}, empty_index.entries(),
-                                   empty_index, empty_index.annotated_ids(),
-                                   &out));
+    CHECK_OK(so::BasicStandoffJoinColumns(op, {}, empty_index.columns(),
+                                          empty_index.annotated_ids(), &out));
     CHECK(out.empty());
   }
 }
@@ -74,14 +73,14 @@ static void TestLoopLiftedEmptyInputs() {
        {so::StandoffOp::kSelectNarrow, so::StandoffOp::kSelectWide,
         so::StandoffOp::kRejectNarrow, so::StandoffOp::kRejectWide}) {
     std::vector<IterMatch> out = {{3, 3}};
-    CHECK_OK(so::LoopLiftedStandoffJoin(
-        op, kSomeIterContext, kSomeAnnIters, empty_index.entries(),
-        empty_index, empty_index.annotated_ids(), 2, &out));
+    CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+        op, kSomeIterContext, kSomeAnnIters, empty_index.columns(),
+        empty_index.annotated_ids(), 2, &out));
     CHECK(out.empty());
     out = {{3, 3}};
-    CHECK_OK(so::LoopLiftedStandoffJoin(op, {}, {}, empty_index.entries(),
-                                        empty_index,
-                                        empty_index.annotated_ids(), 0, &out));
+    CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+        op, {}, {}, empty_index.columns(), empty_index.annotated_ids(), 0,
+        &out));
     CHECK(out.empty());
   }
 }
@@ -97,25 +96,15 @@ static void TestParallelEmptyInputs() {
     options.iter_blocks = 4;
     options.candidate_shards = 7;
     std::vector<IterMatch> out = {{3, 3}};
-    CHECK_OK(so::ParallelLoopLiftedStandoffJoin(
-        op, kSomeIterContext, kSomeAnnIters, empty_index.entries(),
-        empty_index, empty_index.annotated_ids(), 2, &out, options));
+    CHECK_OK(so::ParallelLoopLiftedStandoffJoinColumns(
+        op, kSomeIterContext, kSomeAnnIters, empty_index.columns(),
+        empty_index.annotated_ids(), 2, &out, options));
     CHECK(out.empty());
     out = {{3, 3}};
-    CHECK_OK(so::ParallelLoopLiftedStandoffJoin(
-        op, {}, {}, empty_index.entries(), empty_index,
-        empty_index.annotated_ids(), 4, &out, options));
+    CHECK_OK(so::ParallelLoopLiftedStandoffJoinColumns(
+        op, {}, {}, empty_index.columns(), empty_index.annotated_ids(), 4, &out,
+        options));
     CHECK(out.empty());
-
-    std::vector<Pre> pres = {99};
-    CHECK_OK(so::ParallelBasicStandoffJoin(
-        op, kSomeContext, empty_index.entries(), empty_index,
-        empty_index.annotated_ids(), &pres, &pool, 7));
-    CHECK(pres.empty());
-    pres = {99};
-    CHECK_OK(so::ParallelNaiveStandoffJoin(op, kSomeContext, {}, &pres,
-                                           &pool, 4));
-    CHECK(pres.empty());
   }
 }
 
@@ -133,18 +122,21 @@ static void TestInvalidInputsStillRejected() {
   std::vector<IterMatch> out;
 
   // Context row ends before it starts.
-  Status st = so::ParallelLoopLiftedStandoffJoin(
-      so::StandoffOp::kSelectNarrow, {{0, 50, 10, 0}}, {0}, index.entries(),
-      index, index.annotated_ids(), 1, &out, options);
+  Status st = so::ParallelLoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kSelectNarrow, {{0, 50, 10, 0}}, {0}, index.columns(),
+      index.annotated_ids(), 1, &out, options);
   CHECK(!st.ok());
 
   // Unsorted external candidate sequence (violation on the chunk
   // boundary: each half is sorted, the whole is not).
-  const std::vector<so::RegionEntry> unsorted = {
-      {30, 40, 3}, {50, 60, 4}, {10, 20, 2}, {70, 80, 5}};
-  st = so::ParallelLoopLiftedStandoffJoin(
+  so::RegionColumnsData unsorted;
+  for (const so::RegionEntry& e : std::vector<so::RegionEntry>{
+           {30, 40, 3}, {50, 60, 4}, {10, 20, 2}, {70, 80, 5}}) {
+    unsorted.Append(e.start, e.end, e.id);
+  }
+  st = so::ParallelLoopLiftedStandoffJoinColumns(
       so::StandoffOp::kSelectNarrow, kSomeIterContext, kSomeAnnIters,
-      unsorted, index, index.annotated_ids(), 2, &out, options);
+      unsorted.View(), index.annotated_ids(), 2, &out, options);
   CHECK(!st.ok());
 }
 

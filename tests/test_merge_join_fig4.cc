@@ -4,6 +4,7 @@
 // (iter1, r1) and (iter1, r4).
 #include "standoff/merge_join.h"
 #include "tests/harness.h"
+#include "tests/oracle.h"
 
 using namespace standoff;
 using so::IterMatch;
@@ -61,9 +62,9 @@ static void TestLoopLiftedSelectNarrow() {
         so::JoinStats stats;
         options.stats = &stats;
         std::vector<IterMatch> out;
-        CHECK_OK(so::LoopLiftedStandoffJoin(
+        CHECK_OK(so::LoopLiftedStandoffJoinColumns(
             so::StandoffOp::kSelectNarrow, Fig4Context(), ann_iters,
-            index.entries(), index, index.annotated_ids(), 2, &out, options));
+            index.columns(), index.annotated_ids(), 2, &out, options));
         CheckFig4Result(out);
         // Every candidate is either probed or provably-unmatchable and
         // galloped over; without galloping all four are probed. In the
@@ -84,9 +85,9 @@ static void TestTraceEmitsSteps() {
   so::JoinOptions options;
   options.trace = &trace;
   std::vector<IterMatch> out;
-  CHECK_OK(so::LoopLiftedStandoffJoin(
-      so::StandoffOp::kSelectNarrow, Fig4Context(), ann_iters,
-      index.entries(), index, index.annotated_ids(), 2, &out, options));
+  CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kSelectNarrow, Fig4Context(), ann_iters, index.columns(),
+      index.annotated_ids(), 2, &out, options));
   CheckFig4Result(out);
   CHECK(trace.events() >= 8);  // reads, activations, retirements, matches
   CHECK_EQ(trace.matches(), 2);
@@ -100,21 +101,21 @@ static void TestAgainstBasicAndNaive() {
       {{1, {{12, 35}}}},
   };
   std::vector<so::AreaAnnotation> candidate_annotations;
-  for (const RegionEntry& e : index.entries()) {
+  for (const RegionEntry& e : test::Rows(index)) {
     candidate_annotations.push_back(
         so::AreaAnnotation{e.id, {{e.start, e.end}}});
   }
   // Iter 0 -> {r1, r4}; iter 1 -> {}.
   std::vector<storage::Pre> basic_out;
-  CHECK_OK(so::BasicStandoffJoin(so::StandoffOp::kSelectNarrow, per_iter[0],
-                                 index.entries(), index,
-                                 index.annotated_ids(), &basic_out));
+  CHECK_OK(so::BasicStandoffJoinColumns(so::StandoffOp::kSelectNarrow,
+                                        per_iter[0], index.columns(),
+                                        index.annotated_ids(), &basic_out));
   CHECK_EQ(basic_out.size(), 2u);
   CHECK_EQ(basic_out[0], 2u);
   CHECK_EQ(basic_out[1], 5u);
-  CHECK_OK(so::BasicStandoffJoin(so::StandoffOp::kSelectNarrow, per_iter[1],
-                                 index.entries(), index,
-                                 index.annotated_ids(), &basic_out));
+  CHECK_OK(so::BasicStandoffJoinColumns(so::StandoffOp::kSelectNarrow,
+                                        per_iter[1], index.columns(),
+                                        index.annotated_ids(), &basic_out));
   CHECK(basic_out.empty());
 
   std::vector<storage::Pre> naive_out;
@@ -142,9 +143,9 @@ static void TestPruningCollapsesNestedContexts() {
   so::JoinOptions options;
   options.stats = &stats;
   std::vector<IterMatch> out;
-  CHECK_OK(so::LoopLiftedStandoffJoin(
-      so::StandoffOp::kSelectNarrow, context, ann_iters, index.entries(),
-      index, index.annotated_ids(), 1, &out, options));
+  CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+      index.annotated_ids(), 1, &out, options));
   CHECK_EQ(out.size(), 2u);
   CHECK_EQ(stats.contexts_skipped, 99u);
   CHECK_EQ(stats.active_peak, 1u);
@@ -153,9 +154,9 @@ static void TestPruningCollapsesNestedContexts() {
   so::JoinStats stats_off;
   options.stats = &stats_off;
   std::vector<IterMatch> out_off;
-  CHECK_OK(so::LoopLiftedStandoffJoin(
-      so::StandoffOp::kSelectNarrow, context, ann_iters, index.entries(),
-      index, index.annotated_ids(), 1, &out_off, options));
+  CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+      index.annotated_ids(), 1, &out_off, options));
   CHECK(out == out_off);
   CHECK_EQ(stats_off.contexts_skipped, 0u);
   CHECK(stats_off.active_peak > 50);
@@ -166,21 +167,23 @@ static void TestValidation() {
   std::vector<uint32_t> ann_iters{0, 1, 0, 0};
   std::vector<IterMatch> out;
   // Iteration out of range.
-  CHECK(!so::LoopLiftedStandoffJoin(so::StandoffOp::kSelectNarrow,
-                                    Fig4Context(), ann_iters, index.entries(),
-                                    index, index.annotated_ids(), 1, &out)
+  CHECK(!so::LoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kSelectNarrow, Fig4Context(), ann_iters, index.columns(),
+      index.annotated_ids(), 1, &out)
              .ok());
   // Inconsistent ann_iters.
   std::vector<uint32_t> wrong{1, 1, 0, 0};
-  CHECK(!so::LoopLiftedStandoffJoin(so::StandoffOp::kSelectNarrow,
-                                    Fig4Context(), wrong, index.entries(),
-                                    index, index.annotated_ids(), 2, &out)
+  CHECK(!so::LoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kSelectNarrow, Fig4Context(), wrong, index.columns(),
+      index.annotated_ids(), 2, &out)
              .ok());
   // Unsorted external candidates.
-  std::vector<RegionEntry> unsorted{{50, 60, 3}, {10, 20, 2}};
-  CHECK(!so::LoopLiftedStandoffJoin(so::StandoffOp::kSelectNarrow,
-                                    Fig4Context(), ann_iters, unsorted, index,
-                                    index.annotated_ids(), 2, &out)
+  so::RegionColumnsData unsorted;
+  unsorted.Append(50, 60, 3);
+  unsorted.Append(10, 20, 2);
+  CHECK(!so::LoopLiftedStandoffJoinColumns(
+             so::StandoffOp::kSelectNarrow, Fig4Context(), ann_iters,
+             unsorted.View(), index.annotated_ids(), 2, &out)
              .ok());
 }
 

@@ -1,12 +1,13 @@
 // Randomized cross-check over seeded workloads: for every operator, both
 // active-list structures, and pruning on/off, the loop-lifted kernel must
-// agree with per-iteration BasicStandoffJoin and with the quadratic
+// agree with per-iteration BasicStandoffJoinColumns and with the quadratic
 // NaiveStandoffJoin reference.
 #include <map>
 
 #include "common/rng.h"
 #include "standoff/merge_join.h"
 #include "tests/harness.h"
+#include "tests/oracle.h"
 
 using namespace standoff;
 using so::IterMatch;
@@ -37,7 +38,7 @@ Workload MakeWorkload(uint64_t seed) {
     entries.push_back(RegionEntry{start, end, static_cast<Pre>(i + 2)});
   }
   w.index = so::RegionIndex::FromEntries(std::move(entries));
-  for (const RegionEntry& e : w.index.entries()) {
+  for (const RegionEntry& e : test::Rows(w.index)) {
     w.candidate_annotations.push_back(
         so::AreaAnnotation{e.id, {{e.start, e.end}}});
   }
@@ -63,10 +64,9 @@ std::vector<IterMatch> RunLifted(const Workload& w, so::StandoffOp op,
   options.active_list = kind;
   options.prune_contained_contexts = prune;
   std::vector<IterMatch> out;
-  CHECK_OK(so::LoopLiftedStandoffJoin(op, w.context, w.ann_iters,
-                                      w.index.entries(), w.index,
-                                      w.index.annotated_ids(), w.iter_count,
-                                      &out, options));
+  CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+      op, w.context, w.ann_iters, w.index.columns(), w.index.annotated_ids(),
+      w.iter_count, &out, options));
   return out;
 }
 
@@ -75,8 +75,8 @@ std::vector<IterMatch> RunBasicPerIteration(const Workload& w,
   std::vector<IterMatch> out;
   for (const auto& [iter, annotations] : w.context_per_iter) {
     std::vector<Pre> pres;
-    CHECK_OK(so::BasicStandoffJoin(op, annotations, w.index.entries(),
-                                   w.index, w.index.annotated_ids(), &pres));
+    CHECK_OK(so::BasicStandoffJoinColumns(op, annotations, w.index.columns(),
+                                          w.index.annotated_ids(), &pres));
     for (Pre pre : pres) out.push_back(IterMatch{iter, pre});
   }
   return out;
@@ -131,13 +131,13 @@ static void TestEmptyInputs() {
   Workload w = MakeWorkload(3);
   std::vector<IterMatch> out;
   // No context rows: selects are empty; rejects have no live iterations.
-  CHECK_OK(so::LoopLiftedStandoffJoin(
-      so::StandoffOp::kSelectNarrow, {}, {}, w.index.entries(), w.index,
-      w.index.annotated_ids(), 4, &out));
+  CHECK_OK(so::LoopLiftedStandoffJoinColumns(so::StandoffOp::kSelectNarrow, {},
+                                             {}, w.index.columns(),
+                                             w.index.annotated_ids(), 4, &out));
   CHECK(out.empty());
-  CHECK_OK(so::LoopLiftedStandoffJoin(
-      so::StandoffOp::kRejectNarrow, {}, {}, w.index.entries(), w.index,
-      w.index.annotated_ids(), 4, &out));
+  CHECK_OK(so::LoopLiftedStandoffJoinColumns(so::StandoffOp::kRejectNarrow, {},
+                                             {}, w.index.columns(),
+                                             w.index.annotated_ids(), 4, &out));
   CHECK(out.empty());
   // A duplicated (but sorted) candidate universe must not leak duplicate
   // reject rows.
@@ -148,22 +148,20 @@ static void TestEmptyInputs() {
       dup_universe.push_back(id);
     }
     std::vector<IterMatch> dedup_out;
-    CHECK_OK(so::LoopLiftedStandoffJoin(
+    CHECK_OK(so::LoopLiftedStandoffJoinColumns(
         so::StandoffOp::kRejectNarrow, w.context, w.ann_iters,
-        w.index.entries(), w.index, dup_universe, w.iter_count, &dedup_out));
+        w.index.columns(), dup_universe, w.iter_count, &dedup_out));
     std::vector<IterMatch> plain_out;
-    CHECK_OK(so::LoopLiftedStandoffJoin(
+    CHECK_OK(so::LoopLiftedStandoffJoinColumns(
         so::StandoffOp::kRejectNarrow, w.context, w.ann_iters,
-        w.index.entries(), w.index, w.index.annotated_ids(), w.iter_count,
-        &plain_out));
+        w.index.columns(), w.index.annotated_ids(), w.iter_count, &plain_out));
     CHECK(dedup_out == plain_out);
   }
   // No candidates: reject still yields nothing (empty universe).
   so::RegionIndex empty_index;
-  CHECK_OK(so::LoopLiftedStandoffJoin(
+  CHECK_OK(so::LoopLiftedStandoffJoinColumns(
       so::StandoffOp::kRejectWide, w.context, w.ann_iters,
-      empty_index.entries(), empty_index, empty_index.annotated_ids(),
-      w.iter_count, &out));
+      empty_index.columns(), empty_index.annotated_ids(), w.iter_count, &out));
   CHECK(out.empty());
 }
 

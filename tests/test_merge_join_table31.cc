@@ -4,6 +4,7 @@
 #include "standoff/merge_join.h"
 #include "storage/document_store.h"
 #include "tests/harness.h"
+#include "tests/oracle.h"
 
 using namespace standoff;
 using so::IterMatch;
@@ -27,7 +28,7 @@ struct Fixture {
   storage::DocumentStore store;
   so::RegionIndex index;
   std::vector<Pre> shot_pres;                 // candidate universe
-  std::vector<so::RegionEntry> shot_entries;  // pushdown intersection
+  so::RegionColumnsData shot_entries;         // pushdown intersection
   std::vector<so::AreaAnnotation> u2_context;
   std::vector<so::AreaAnnotation> shot_annotations;
 
@@ -40,9 +41,9 @@ struct Fixture {
     const storage::Span<Pre> shots =
         store.document(0).element_index.Lookup(store.names().Lookup("shot"));
     shot_pres.assign(shots.begin(), shots.end());
-    shot_entries = index.Intersect(shot_pres);
+    shot_entries = index.IntersectColumns(shot_pres);
     u2_context = {{7, {{0, 31}}}};  // music[artist=U2] is pre 7
-    for (const so::RegionEntry& e : shot_entries) {
+    for (const so::RegionEntry& e : test::Rows(shot_entries.View())) {
       shot_annotations.push_back(so::AreaAnnotation{e.id, {{e.start, e.end}}});
     }
   }
@@ -76,8 +77,9 @@ static void TestTableSemantics() {
   for (const auto& c : kCases) {
     // Basic merge join.
     std::vector<Pre> basic;
-    CHECK_OK(so::BasicStandoffJoin(c.op, fx.u2_context, fx.shot_entries,
-                                   fx.index, fx.shot_pres, &basic));
+    CHECK_OK(so::BasicStandoffJoinColumns(c.op, fx.u2_context,
+                                          fx.shot_entries.View(), fx.shot_pres,
+                                          &basic));
     CHECK_EQ(fx.Ids(basic), std::string(c.expected));
 
     // Naive reference.
@@ -89,9 +91,9 @@ static void TestTableSemantics() {
     std::vector<so::IterRegion> context{{0, 0, 31, 0}};
     std::vector<uint32_t> ann_iters{0};
     std::vector<IterMatch> lifted;
-    CHECK_OK(so::LoopLiftedStandoffJoin(c.op, context, ann_iters,
-                                        fx.shot_entries, fx.index,
-                                        fx.shot_pres, 1, &lifted));
+    CHECK_OK(so::LoopLiftedStandoffJoinColumns(c.op, context, ann_iters,
+                                               fx.shot_entries.View(),
+                                               fx.shot_pres, 1, &lifted));
     std::vector<Pre> lifted_pres;
     for (const IterMatch& m : lifted) lifted_pres.push_back(m.pre);
     CHECK_EQ(fx.Ids(lifted_pres), std::string(c.expected));
@@ -105,9 +107,9 @@ static void TestTwoIterationReject() {
   std::vector<so::IterRegion> context{{0, 0, 31, 0}, {1, 52, 94, 1}};
   std::vector<uint32_t> ann_iters{0, 1};
   std::vector<IterMatch> out;
-  CHECK_OK(so::LoopLiftedStandoffJoin(so::StandoffOp::kRejectNarrow, context,
-                                      ann_iters, fx.shot_entries, fx.index,
-                                      fx.shot_pres, 2, &out));
+  CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kRejectNarrow, context, ann_iters, fx.shot_entries.View(),
+      fx.shot_pres, 2, &out));
   // iter0: Interview, Outro rejected-narrow vs U2; iter1: Bach contains
   // Outro [64,94], so Intro and Interview remain.
   CHECK_EQ(out.size(), 4u);

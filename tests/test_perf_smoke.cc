@@ -61,9 +61,9 @@ static void TestLoopLiftedBeatsBasicAt200Iterations() {
   size_t lifted_rows = 0;
   const double lifted_begin = CpuSeconds();
   for (int rep = 0; rep < 3; ++rep) {
-    CHECK_OK(so::LoopLiftedStandoffJoin(
-        so::StandoffOp::kSelectNarrow, context, ann_iters, index.entries(),
-        index, index.annotated_ids(), iters, &lifted, options));
+    CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+        so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+        index.annotated_ids(), iters, &lifted, options));
     lifted_rows = lifted.size();
   }
   const double lifted_cpu = CpuSeconds() - lifted_begin;

@@ -38,10 +38,8 @@ ChainLayer LayerOf(const so::RegionIndex& index) {
 }
 
 /// Context rows from an index: one loop iteration per annotated id in
-/// id (document) order, carrying every region of that id. Works for
-/// ChainSpec and DagSpec (identical context fields).
-template <typename Spec>
-void ContextOf(const so::RegionIndex& index, Spec* spec) {
+/// id (document) order, carrying every region of that id.
+void ContextOf(const so::RegionIndex& index, ChainSpec* spec) {
   const storage::Span<Pre> ids = index.annotated_ids();
   spec->iter_count = static_cast<uint32_t>(ids.size());
   for (uint32_t i = 0; i < spec->iter_count; ++i) {
@@ -453,134 +451,6 @@ static void TestSubPlanMemoCollisions() {
   CHECK(tiny.Lookup("k4") != nullptr);
 }
 
-static void TestDagSharedPrefix() {
-  // Two branches share the top->mid prefix. The shared node is priced
-  // and evaluated once; each output must be byte-identical to its
-  // root-to-leaf path run as a linear chain.
-  Rng rng(123);
-  auto make = [&](size_t n, int64_t max_width) {
-    std::vector<RegionEntry> entries;
-    for (size_t i = 0; i < n; ++i) {
-      const int64_t s = rng.UniformRange(0, 2000);
-      entries.push_back(RegionEntry{
-          s, s + rng.UniformRange(0, max_width),
-          static_cast<Pre>(rng.UniformRange(1, static_cast<int64_t>(n)))});
-    }
-    return so::RegionIndex::FromEntries(std::move(entries));
-  };
-  const so::RegionIndex top = make(6, 400);
-  const so::RegionIndex mid = make(40, 120);
-  const so::RegionIndex low = make(60, 30);
-
-  so::DagSpec dag;
-  ContextOf(top, &dag);
-  so::DagNode shared;
-  shared.edge.op = StandoffOp::kSelectNarrow;
-  shared.edge.layer = LayerOf(mid);
-  so::DagNode narrow_leaf;
-  narrow_leaf.parent = 0;
-  narrow_leaf.edge.op = StandoffOp::kSelectNarrow;
-  narrow_leaf.edge.layer = LayerOf(low);
-  narrow_leaf.output = 0;
-  so::DagNode wide_leaf;
-  wide_leaf.parent = 0;
-  wide_leaf.edge.op = StandoffOp::kSelectWide;
-  wide_leaf.edge.layer = LayerOf(low);
-  wide_leaf.output = 1;
-  dag.nodes = {shared, narrow_leaf, wide_leaf};
-  dag.output_count = 2;
-
-  const so::DagPlan plan = so::PlanDag(dag);
-  CHECK_EQ(plan.edges.size(), 3u);
-  // Reuse accounting: the shared node's cost is counted once in
-  // est_cost but twice (once per consuming output) in est_cost_unshared.
-  CHECK(plan.est_cost < plan.est_cost_unshared);
-
-  std::vector<std::vector<IterMatch>> outputs;
-  so::ChainStats stats;
-  so::ChainExecOptions options;
-  CHECK_OK(so::ExecuteDag(dag, plan, options, &outputs, &stats));
-  CHECK_EQ(outputs.size(), 2u);
-  CHECK_EQ(stats.shared_nodes, 1u);
-  CHECK_EQ(stats.joins_run, 3u);  // one per node, NOT one per path edge
-
-  ChainSpec lin_narrow = MakeSpec(
-      top, {&mid, &low}, {StandoffOp::kSelectNarrow, StandoffOp::kSelectNarrow});
-  ChainSpec lin_wide = MakeSpec(
-      top, {&mid, &low}, {StandoffOp::kSelectNarrow, StandoffOp::kSelectWide});
-  CHECK(outputs[0] ==
-        MustExecute(lin_narrow, so::PlanChain(lin_narrow, PlanMode::kTopDown)));
-  CHECK(outputs[1] ==
-        MustExecute(lin_wide, so::PlanChain(lin_wide, PlanMode::kTopDown)));
-}
-
-static void TestDagMemoKeys() {
-  // Memo-keyed DAG nodes: the first execution misses and populates;
-  // the second serves every node from the memo with zero joins.
-  const so::RegionIndex top = so::RegionIndex::FromEntries({{0, 999, 1}});
-  const so::RegionIndex mid =
-      so::RegionIndex::FromEntries({{10, 500, 2}, {600, 700, 3}});
-  const so::RegionIndex low =
-      so::RegionIndex::FromEntries({{20, 30, 4}, {610, 620, 5}});
-  so::DagSpec dag;
-  ContextOf(top, &dag);
-  so::DagNode shared;
-  shared.edge.op = StandoffOp::kSelectNarrow;
-  shared.edge.layer = LayerOf(mid);
-  shared.memo_key = "doc0/sn:mid";
-  so::DagNode leaf;
-  leaf.parent = 0;
-  leaf.edge.op = StandoffOp::kSelectNarrow;
-  leaf.edge.layer = LayerOf(low);
-  leaf.output = 0;
-  leaf.memo_key = "doc0/sn:mid/sn:low";
-  dag.nodes = {shared, leaf};
-  dag.output_count = 1;
-
-  const so::DagPlan plan = so::PlanDag(dag);
-  so::SubPlanMemo memo(16);
-  so::ChainExecOptions options;
-  options.memo = &memo;
-
-  std::vector<std::vector<IterMatch>> first, second;
-  so::ChainStats stats1, stats2;
-  CHECK_OK(so::ExecuteDag(dag, plan, options, &first, &stats1));
-  CHECK_EQ(stats1.memo_misses, 2u);
-  CHECK_EQ(stats1.memo_hits, 0u);
-  CHECK_EQ(stats1.joins_run, 2u);
-  CHECK_OK(so::ExecuteDag(dag, plan, options, &second, &stats2));
-  CHECK_EQ(stats2.memo_hits, 2u);
-  CHECK_EQ(stats2.memo_misses, 0u);
-  CHECK_EQ(stats2.joins_run, 0u);
-  CHECK(first[0] == second[0]);
-  CHECK(!first[0].empty());
-}
-
-static void TestDagTopologyValidation() {
-  const so::RegionIndex top = so::RegionIndex::FromEntries({{0, 99, 1}});
-  const so::RegionIndex layer = so::RegionIndex::FromEntries({{5, 10, 2}});
-  so::DagSpec dag;
-  ContextOf(top, &dag);
-  so::DagNode node;
-  node.parent = 0;  // self-reference: parents must strictly precede
-  node.edge.op = StandoffOp::kSelectNarrow;
-  node.edge.layer = LayerOf(layer);
-  node.output = 0;
-  dag.nodes = {node};
-  dag.output_count = 1;
-  std::vector<std::vector<IterMatch>> outputs;
-  so::ChainExecOptions options;
-  CHECK(!so::ExecuteDag(dag, so::PlanDag(dag), options, &outputs).ok());
-
-  dag.nodes[0].parent = -1;
-  dag.nodes[0].output = 3;  // out of range for output_count = 1
-  CHECK(!so::ExecuteDag(dag, so::PlanDag(dag), options, &outputs).ok());
-
-  dag.nodes[0].output = 0;
-  CHECK_OK(so::ExecuteDag(dag, so::PlanDag(dag), options, &outputs));
-  CHECK(outputs[0] == (std::vector<IterMatch>{{0, 2}}));
-}
-
 int main() {
   RUN_TEST(TestRegionStats);
   RUN_TEST(TestGallopChoice);
@@ -593,8 +463,5 @@ int main() {
   RUN_TEST(TestRandomChainsBothOrders);
   RUN_TEST(TestSubPlanMemoLruAndCounters);
   RUN_TEST(TestSubPlanMemoCollisions);
-  RUN_TEST(TestDagSharedPrefix);
-  RUN_TEST(TestDagMemoKeys);
-  RUN_TEST(TestDagTopologyValidation);
   TEST_MAIN();
 }

@@ -43,18 +43,19 @@ static void TestPushdownEquivalence() {
   }
 
   // (a) pushdown: intersect first, join the small sequence.
-  std::vector<so::RegionEntry> candidates = (*index)->Intersect(needle_pres);
+  const so::RegionColumnsData candidates =
+      (*index)->IntersectColumns(needle_pres);
   CHECK_EQ(candidates.size(), 50u);
   std::vector<IterMatch> pushed;
-  CHECK_OK(so::LoopLiftedStandoffJoin(so::StandoffOp::kSelectNarrow, context,
-                                      ann_iters, candidates, **index,
-                                      needle_pres, 16, &pushed, {}));
+  CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kSelectNarrow, context, ann_iters, candidates.View(),
+      needle_pres, 16, &pushed));
 
   // (b) no pushdown: join everything, filter by name afterwards.
   std::vector<IterMatch> full;
-  CHECK_OK(so::LoopLiftedStandoffJoin(
-      so::StandoffOp::kSelectNarrow, context, ann_iters, (*index)->entries(),
-      **index, (*index)->annotated_ids(), 16, &full, {}));
+  CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kSelectNarrow, context, ann_iters, (*index)->columns(),
+      (*index)->annotated_ids(), 16, &full));
   std::vector<IterMatch> filtered;
   for (const IterMatch& m : full) {
     if (store.table(0).name(m.pre) == needle) filtered.push_back(m);
@@ -64,13 +65,13 @@ static void TestPushdownEquivalence() {
   // Pushdown also holds for reject: complement against the name-filtered
   // universe.
   std::vector<IterMatch> pushed_reject;
-  CHECK_OK(so::LoopLiftedStandoffJoin(so::StandoffOp::kRejectNarrow, context,
-                                      ann_iters, candidates, **index,
-                                      needle_pres, 16, &pushed_reject, {}));
+  CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kRejectNarrow, context, ann_iters, candidates.View(),
+      needle_pres, 16, &pushed_reject));
   std::vector<IterMatch> full_reject;
-  CHECK_OK(so::LoopLiftedStandoffJoin(
-      so::StandoffOp::kRejectNarrow, context, ann_iters, (*index)->entries(),
-      **index, (*index)->annotated_ids(), 16, &full_reject, {}));
+  CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+      so::StandoffOp::kRejectNarrow, context, ann_iters, (*index)->columns(),
+      (*index)->annotated_ids(), 16, &full_reject));
   std::vector<IterMatch> filtered_reject;
   for (const IterMatch& m : full_reject) {
     if (store.table(0).name(m.pre) == needle) filtered_reject.push_back(m);

@@ -3,6 +3,7 @@
 #include "common/rng.h"
 #include "standoff/region_index.h"
 #include "tests/harness.h"
+#include "tests/oracle.h"
 
 using namespace standoff;
 using so::RegionEntry;
@@ -29,10 +30,10 @@ static void TestFromEntriesSorts() {
       {50, 60, 4}, {10, 20, 2}, {10, 15, 3}, {10, 15, 7}};
   so::RegionIndex index = so::RegionIndex::FromEntries(entries);
   CHECK_EQ(index.size(), 4u);
-  CHECK(index.entries()[0] == (RegionEntry{10, 15, 3}));
-  CHECK(index.entries()[1] == (RegionEntry{10, 15, 7}));
-  CHECK(index.entries()[2] == (RegionEntry{10, 20, 2}));
-  CHECK(index.entries()[3] == (RegionEntry{50, 60, 4}));
+  CHECK(test::Rows(index)[0] == (RegionEntry{10, 15, 3}));
+  CHECK(test::Rows(index)[1] == (RegionEntry{10, 15, 7}));
+  CHECK(test::Rows(index)[2] == (RegionEntry{10, 20, 2}));
+  CHECK(test::Rows(index)[3] == (RegionEntry{50, 60, 4}));
   // annotated_ids sorted by id, not by start.
   const storage::Span<Pre> ids = index.annotated_ids();
   CHECK_EQ(ids.size(), 4u);
@@ -52,11 +53,11 @@ static void TestBuildFromTable() {
   // Timecodes parse to seconds and sort by start:
   // Intro[0,8](pre3), U2[0,31](pre7), Interview[8,64](pre4),
   // Bach[52,94](pre8), Outro[64,94](pre5).
-  CHECK(index->entries()[0] == (RegionEntry{0, 8, 3}));
-  CHECK(index->entries()[1] == (RegionEntry{0, 31, 7}));
-  CHECK(index->entries()[2] == (RegionEntry{8, 64, 4}));
-  CHECK(index->entries()[3] == (RegionEntry{52, 94, 8}));
-  CHECK(index->entries()[4] == (RegionEntry{64, 94, 5}));
+  CHECK(test::Rows(*index)[0] == (RegionEntry{0, 8, 3}));
+  CHECK(test::Rows(*index)[1] == (RegionEntry{0, 31, 7}));
+  CHECK(test::Rows(*index)[2] == (RegionEntry{8, 64, 4}));
+  CHECK(test::Rows(*index)[3] == (RegionEntry{52, 94, 8}));
+  CHECK(test::Rows(*index)[4] == (RegionEntry{64, 94, 5}));
 
   int64_t start, end;
   CHECK(index->RegionOf(7, &start, &end));
@@ -65,7 +66,7 @@ static void TestBuildFromTable() {
   CHECK(!index->RegionOf(1, &start, &end));
 }
 
-static void TestIntersect() {
+static void TestIntersectColumns() {
   std::vector<RegionEntry> entries;
   for (Pre id = 2; id < 12; ++id) {
     entries.push_back(RegionEntry{static_cast<int64_t>(id) * 10,
@@ -73,12 +74,13 @@ static void TestIntersect() {
   }
   so::RegionIndex index = so::RegionIndex::FromEntries(entries);
   std::vector<Pre> wanted{3, 7, 11, 99};
-  std::vector<RegionEntry> got = index.Intersect(wanted);
+  const std::vector<RegionEntry> got =
+      test::Rows(index.IntersectColumns(wanted).View());
   CHECK_EQ(got.size(), 3u);
   CHECK_EQ(got[0].id, 3u);
   CHECK_EQ(got[1].id, 7u);
   CHECK_EQ(got[2].id, 11u);
-  CHECK(index.Intersect({}).empty());
+  CHECK_EQ(index.IntersectColumns({}).size(), 0u);
 }
 
 static void TestColumnsMirrorEntries() {
@@ -86,16 +88,16 @@ static void TestColumnsMirrorEntries() {
       {50, 60, 4}, {10, 20, 2}, {10, 15, 3}, {10, 15, 7}};
   so::RegionIndex index = so::RegionIndex::FromEntries(entries);
   const so::RegionColumns cols = index.columns();
-  CHECK_EQ(cols.size, index.entries().size());
+  CHECK_EQ(cols.size, test::Rows(index).size());
   CHECK(cols.start_sorted);
   for (size_t i = 0; i < cols.size; ++i) {
-    CHECK(cols.row(i) == index.entries()[i]);
+    CHECK(cols.row(i) == test::Rows(index)[i]);
   }
   // Slices keep the columnar promise and the row content.
   const so::RegionColumns slice = cols.Slice(1, 3);
   CHECK_EQ(slice.size, 2u);
   CHECK(slice.start_sorted);
-  CHECK(slice.row(0) == index.entries()[1]);
+  CHECK(slice.row(0) == test::Rows(index)[1]);
   // An empty index yields a valid empty view.
   so::RegionIndex empty;
   CHECK_EQ(empty.columns().size, 0u);
@@ -127,7 +129,7 @@ static void TestIntersectAdaptivePathsAgree() {
     const so::RegionColumnsData cols = index.IntersectColumns(ids);
     // Reference: the definitional filter over the AoS shim.
     std::vector<RegionEntry> expect;
-    for (const RegionEntry& e : index.entries()) {
+    for (const RegionEntry& e : test::Rows(index)) {
       if (std::binary_search(ids.begin(), ids.end(), e.id)) {
         expect.push_back(e);
       }
@@ -187,7 +189,7 @@ static void TestCache() {
 int main() {
   RUN_TEST(TestFromEntriesSorts);
   RUN_TEST(TestBuildFromTable);
-  RUN_TEST(TestIntersect);
+  RUN_TEST(TestIntersectColumns);
   RUN_TEST(TestColumnsMirrorEntries);
   RUN_TEST(TestIntersectAdaptivePathsAgree);
   RUN_TEST(TestMissingConfigAttrs);

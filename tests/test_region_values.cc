@@ -1,5 +1,6 @@
 #include "standoff/region_index.h"
 #include "tests/harness.h"
+#include "tests/oracle.h"
 
 using namespace standoff;
 
@@ -125,7 +126,7 @@ static void TestResolve() {
   auto index = so::RegionIndex::Build(store.table(0), resolved);
   CHECK_OK(index);
   CHECK_EQ(index->size(), 1u);
-  CHECK(index->entries()[0] == (so::RegionEntry{1, 2, 1}));
+  CHECK(test::Rows(*index)[0] == (so::RegionEntry{1, 2, 1}));
 
   so::ResolvedConfig unresolved =
       so::Resolve(so::StandoffConfig{}, store.names());

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -94,6 +95,17 @@ int RawConnect(uint16_t port) {
   const int fd = ::dup((*client)->fd());
   CHECK(fd >= 0);
   return fd;
+}
+
+/// This process's virtual size in KiB (VmSize in /proc/self/status);
+/// 0 when the file is unavailable.
+uint64_t VmSizeKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
 }
 
 }  // namespace
@@ -363,6 +375,21 @@ static void TestConnectionCap() {
   CHECK(reconnected);
 }
 
+// Exited connection threads are joined while the server runs: 1,000
+// connect/ping/close cycles must not leave 1,000 unjoined threads, each
+// keeping its stack mapped until Stop().
+static void TestExitedConnectionsAreReaped() {
+  ServerFixture fx("wire_reap");
+  const uint64_t before = VmSizeKib();
+  CHECK(before > 0);
+  for (int i = 0; i < 1000; ++i) {
+    auto client = fx.Connect();
+    CHECK_OK(client->Ping());
+  }
+  const uint64_t growth_mib = (VmSizeKib() - before) / 1024;
+  CHECK(growth_mib < 256);
+}
+
 // Per-query deadlines: a microsecond budget deterministically trips
 // the first merge-pass checkpoint (kError carrying kTimedOut), a
 // generous budget answers byte-identically to no deadline at all, and
@@ -437,6 +464,7 @@ int main() {
   RUN_TEST(TestBackpressureRejectsWhenFull);
   RUN_TEST(TestBackpressureUnderConcurrency);
   RUN_TEST(TestConnectionCap);
+  RUN_TEST(TestExitedConnectionsAreReaped);
   RUN_TEST(TestPerQueryDeadline);
   RUN_TEST(TestStatsReportSubPlanCounters);
   TEST_MAIN();

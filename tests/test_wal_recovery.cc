@@ -38,6 +38,7 @@
 #include "storage/wal.h"
 #include "tests/fault_io.h"
 #include "tests/harness.h"
+#include "tests/oracle.h"
 
 using namespace standoff;
 using storage::Pre;
@@ -133,7 +134,7 @@ std::vector<so::RegionEntry> MergedEntries(const storage::MutableStore& s) {
   so::RegionIndexCache cache;
   auto merged = cache.Get(*view, 0, so::StandoffConfig{});
   CHECK_OK(merged);
-  return merged.ok() ? (*merged)->entries() : std::vector<so::RegionEntry>{};
+  return merged.ok() ? test::Rows(**merged) : std::vector<so::RegionEntry>{};
 }
 
 /// The op-log oracle: a fresh store with the acked prefix applied live.
@@ -739,7 +740,7 @@ static void TestWriterRacesAutoCompactorWithWal() {
       oracle_rows.insert(oracle_rows.end(), rows.begin(), rows.end());
     }
     const so::RegionIndex oracle = so::RegionIndex::FromEntries(oracle_rows);
-    CHECK(live_entries == oracle.entries());
+    CHECK(live_entries == test::Rows(oracle));
   }
 
   // Crash-recover the whole racy run from disk: same merged bytes.

@@ -1,6 +1,7 @@
 #include "standoff/region_index.h"
 #include "storage/document_store.h"
 #include "tests/harness.h"
+#include "tests/oracle.h"
 #include "xmark/generator.h"
 #include "xmark/queries.h"
 #include "xmark/standoff_transform.h"
@@ -83,7 +84,7 @@ static void TestStandoffTransform() {
       stable, so::Resolve(so::StandoffConfig{}, so_store.names()));
   CHECK_OK(index);
   CHECK_EQ(index->size(), so_elements);
-  for (const so::RegionEntry& e : index->entries()) {
+  for (const so::RegionEntry& e : test::Rows(*index)) {
     CHECK(e.start < e.end);  // marker bytes forbid zero-width regions
   }
 }
