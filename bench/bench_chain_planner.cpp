@@ -343,8 +343,15 @@ void BM_DeltaMergeOverhead(benchmark::State& state) {
       }
       const storage::Span<Pre> ids = (*index)->annotated_ids();
       for (size_t i = 0; i < ids.size(); i += step) {
+        // A shifted copy of the id's first region.
+        bool found = false;
         int64_t start = 0, end = 0;
-        if (!(*index)->RegionOf(ids[i], &start, &end)) continue;
+        (*index)->ForEachRegionOf(ids[i], [&](int64_t s, int64_t e) {
+          if (found) return;
+          found = true;
+          start = s;
+          end = e;
+        });
         auto seq =
             mutable_store.InsertRegion(doc, fp, start + 1, end + 1, ids[i]);
         if (!seq.ok()) {

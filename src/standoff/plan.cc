@@ -154,7 +154,7 @@ Status RunJoin(const ChainEdge& edge, const EdgePlan& edge_plan,
     return Status::Invalid("chain layer has no candidate universe");
   }
   ParallelJoinOptions parallel = options.parallel;
-  parallel.join.gallop = edge_plan.gallop;
+  parallel.join.gallop = options.parallel.join.gallop && edge_plan.gallop;
   parallel.checkpoint = options.checkpoint;
   STANDOFF_RETURN_IF_ERROR(ParallelLoopLiftedStandoffJoinColumns(
       edge.op, ctx, ann_iters, layer.columns, layer.ids, iter_count, out,
@@ -230,7 +230,8 @@ Status RunBottomUpLast(const ChainSpec& spec, const ChainPlan& plan,
       return Status::Invalid("chain layer has no candidate universe");
     }
     ParallelJoinOptions parallel = options.parallel;
-    parallel.join.gallop = plan.edges[edge_total - 1].gallop;
+    parallel.join.gallop =
+        options.parallel.join.gallop && plan.edges[edge_total - 1].gallop;
     parallel.checkpoint = options.checkpoint;
     STANDOFF_RETURN_IF_ERROR(ParallelLoopLiftedStandoffJoinColumns(
         last_edge.op, row_ctx, row_iters, last_edge.layer.columns,

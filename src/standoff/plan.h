@@ -197,7 +197,9 @@ class SubPlanMemo {
 
 struct ChainExecOptions {
   /// Thread-pool decomposition and kernel defaults for every join in
-  /// the chain; each edge's plan overrides `parallel.join.gallop`.
+  /// the chain. An edge gallops only when both `parallel.join.gallop`
+  /// and its plan's choice say so: the caller can turn galloping off,
+  /// the planner can only decline it.
   ParallelJoinOptions parallel;
   /// Called between joins AND at merge-pass block boundaries inside
   /// each join (deadline checks); null means never. Must be safe to
@@ -216,9 +218,12 @@ Status ExecuteChain(const ChainSpec& spec, const ChainPlan& plan,
                     const ChainExecOptions& options,
                     std::vector<IterMatch>* out, ChainStats* stats = nullptr);
 
-/// Matched nodes back to context rows for the next edge, via the
-/// layer's region lookup. Matches arrive sorted by (iter, pre), so the
-/// produced rows are sorted by iteration as the kernels expect.
+/// (iter, node) pairs to loop-lifted context rows: one row per region
+/// of each node (RegionIndex::ForEachRegionOf), in input order, with
+/// `ann` numbering the rows. The one way a context is built — a chain's
+/// top context, each edge's matches for the next edge, and a FLWOR
+/// StandOff step's context nodes. Input sorted by iteration yields rows
+/// sorted by iteration, as the kernels expect.
 void MatchesToContext(const std::vector<IterMatch>& matches,
                       const RegionIndex& index,
                       std::vector<IterRegion>* ctx,

@@ -188,20 +188,12 @@ void RegionIndex::BuildIdIndex() {
         return cols_.id()[a] < cols_.id()[b];
       }));
   std::vector<storage::Pre> ids;
-  std::vector<int64_t> starts, ends;
   ids.reserve(cols_.size());
-  starts.reserve(cols_.size());
-  ends.reserve(cols_.size());
   for (uint32_t i : rows_by_id_) {
     const storage::Pre id = cols_.id()[i];
-    if (!ids.empty() && ids.back() == id) continue;
-    ids.push_back(id);
-    starts.push_back(cols_.start()[i]);
-    ends.push_back(cols_.end()[i]);
+    if (ids.empty() || ids.back() != id) ids.push_back(id);
   }
   annotated_ids_.Adopt(std::move(ids));
-  region_starts_by_id_.Adopt(std::move(starts));
-  region_ends_by_id_.Adopt(std::move(ends));
 }
 
 StatusOr<RegionIndex> RegionIndex::FromBorrowed(const BorrowedParts& parts) {
@@ -212,19 +204,13 @@ StatusOr<RegionIndex> RegionIndex::FromBorrowed(const BorrowedParts& parts) {
   if (parts.rows_by_id.size() != parts.columns.size) {
     return Status::Invalid("borrowed rows_by_id size mismatch");
   }
-  if (parts.annotated_ids.size() != parts.region_starts_by_id.size() ||
-      parts.annotated_ids.size() != parts.region_ends_by_id.size() ||
-      parts.annotated_ids.size() > parts.columns.size) {
+  if (parts.annotated_ids.size() > parts.columns.size) {
     return Status::Invalid("borrowed id-index size mismatch");
   }
   RegionIndex index;
   index.cols_.BorrowFrom(parts.columns);
   index.annotated_ids_.Borrow(parts.annotated_ids.data(),
                               parts.annotated_ids.size());
-  index.region_starts_by_id_.Borrow(parts.region_starts_by_id.data(),
-                                    parts.region_starts_by_id.size());
-  index.region_ends_by_id_.Borrow(parts.region_ends_by_id.data(),
-                                  parts.region_ends_by_id.size());
   index.rows_by_id_.Borrow(parts.rows_by_id.data(), parts.rows_by_id.size());
   return index;
 }
@@ -315,16 +301,6 @@ RegionColumnsData RegionIndex::IntersectColumns(
   RegionColumnsData result;
   result.GatherFrom(cols_, selected);
   return result;
-}
-
-bool RegionIndex::RegionOf(storage::Pre id, int64_t* start,
-                           int64_t* end) const {
-  auto it = std::lower_bound(annotated_ids_.begin(), annotated_ids_.end(), id);
-  if (it == annotated_ids_.end() || *it != id) return false;
-  const size_t i = static_cast<size_t>(it - annotated_ids_.begin());
-  *start = region_starts_by_id_[i];
-  *end = region_ends_by_id_[i];
-  return true;
 }
 
 RegionIndex MergeBaseDelta(const RegionIndex& base,

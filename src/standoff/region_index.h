@@ -174,13 +174,11 @@ class RegionIndex {
   /// Snapshot columns for FromBorrowed: the three region columns plus
   /// the derived id-order arrays exactly as a built index holds them.
   /// All spans point into memory the caller keeps alive (the mapped
-  /// file); annotated_ids/region_*_by_id are parallel, and rows_by_id
-  /// permutes [0, columns.size) into ascending-id order.
+  /// file); rows_by_id permutes [0, columns.size) into ascending-id
+  /// order.
   struct BorrowedParts {
     RegionColumns columns;
     storage::Span<storage::Pre> annotated_ids;
-    storage::Span<int64_t> region_starts_by_id;
-    storage::Span<int64_t> region_ends_by_id;
     storage::Span<uint32_t> rows_by_id;
   };
 
@@ -208,18 +206,25 @@ class RegionIndex {
   /// search into `ids` when it is sparse (O(n log m)).
   RegionColumnsData IntersectColumns(storage::Span<storage::Pre> ids) const;
 
-  /// Region of an annotated node; false if the node has no region.
-  bool RegionOf(storage::Pre id, int64_t* start, int64_t* end) const;
-
-  /// Calls fn(start, end) for every region of annotated node `id` (ids
-  /// may carry several regions). The chain executor uses this to turn
-  /// matched candidates back into context rows for the next edge.
+  /// Calls fn(start, end) for every region of annotated node `id`, in
+  /// start order (ids may carry several regions; none for an id without
+  /// a region). The one id→region lookup: MatchesToContext uses it to
+  /// turn context nodes and matched candidates into context rows.
   template <typename Fn>
   void ForEachRegionOf(storage::Pre id, Fn fn) const {
-    const uint32_t* begin = rows_by_id_.begin();
+    const storage::Pre* ids = annotated_ids_.begin();
+    const size_t rank = static_cast<size_t>(
+        std::lower_bound(ids, annotated_ids_.end(), id) - ids);
+    if (rank == annotated_ids_.size() || ids[rank] != id) return;
+    // Each of the `rank` smaller ids owns at least one row and at most
+    // all the surplus rows, so the id's first position in rows_by_id_
+    // lies in [rank, rank + surplus]: with one region per id (surplus
+    // 0) the contiguous search above already found it.
+    const size_t surplus = rows_by_id_.size() - annotated_ids_.size();
     const uint32_t* end_it = rows_by_id_.end();
-    auto it = std::lower_bound(
-        begin, end_it, id, [this](uint32_t row, storage::Pre value) {
+    const uint32_t* it = std::lower_bound(
+        rows_by_id_.begin() + rank, rows_by_id_.begin() + rank + surplus + 1,
+        id, [this](uint32_t row, storage::Pre value) {
           return cols_.id()[row] < value;
         });
     for (; it != end_it && cols_.id()[*it] == id; ++it) {
@@ -232,11 +237,9 @@ class RegionIndex {
 
   RegionColumnsData cols_;                 // sorted by (start, end, id)
   storage::Column<storage::Pre> annotated_ids_;  // sorted by id
-  // Parallel to annotated_ids_: that id's (first) region, for RegionOf.
-  storage::Column<int64_t> region_starts_by_id_;
-  storage::Column<int64_t> region_ends_by_id_;
-  // Row positions permuted into ascending-id order: the dense-side
-  // merge input for IntersectColumns.
+  // Row positions permuted into ascending-id order: the id→region
+  // lookup of ForEachRegionOf and the dense-side merge input for
+  // IntersectColumns.
   storage::Column<uint32_t> rows_by_id_;
 
   void BuildIdIndex();

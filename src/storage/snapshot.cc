@@ -165,8 +165,8 @@ class Reader {
       return Status::Invalid("snapshot segment out of bounds");
     }
     // Every segment the writer emits is kSegmentAlign-aligned (a
-    // superset of any element alignment); anything less in a version-2
-    // file is corruption.
+    // superset of any element alignment); anything less in a file of
+    // the current version is corruption.
     if (ref.offset % kSegmentAlign != 0) {
       return Status::Invalid("snapshot segment misaligned");
     }
@@ -405,12 +405,6 @@ class SnapshotIO {
     PutRef(w->AddColumn(index.annotated_ids_.data(),
                         index.annotated_ids_.size()),
            toc);
-    PutRef(w->AddColumn(index.region_starts_by_id_.data(),
-                        index.region_starts_by_id_.size()),
-           toc);
-    PutRef(w->AddColumn(index.region_ends_by_id_.data(),
-                        index.region_ends_by_id_.size()),
-           toc);
     PutRef(w->AddColumn(index.rows_by_id_.data(), index.rows_by_id_.size()),
            toc);
   }
@@ -418,9 +412,8 @@ class SnapshotIO {
   static StatusOr<so::RegionIndex> LoadRegionIndex(Reader* r) {
     uint32_t start_sorted;
     STANDOFF_RETURN_IF_ERROR(r->GetU32(&start_sorted));
-    SegRef start, end, id, ann_ids, reg_starts, reg_ends, rows;
-    for (SegRef* ref :
-         {&start, &end, &id, &ann_ids, &reg_starts, &reg_ends, &rows}) {
+    SegRef start, end, id, ann_ids, rows;
+    for (SegRef* ref : {&start, &end, &id, &ann_ids, &rows}) {
       STANDOFF_RETURN_IF_ERROR(r->GetRef(ref));
     }
     if (end.count != start.count || id.count != start.count) {
@@ -433,10 +426,6 @@ class SnapshotIO {
     STANDOFF_RETURN_IF_ERROR(r->Resolve(end, &parts.columns.end));
     STANDOFF_RETURN_IF_ERROR(r->Resolve(id, &parts.columns.id));
     STANDOFF_RETURN_IF_ERROR(ResolveSpan(r, ann_ids, &parts.annotated_ids));
-    STANDOFF_RETURN_IF_ERROR(
-        ResolveSpan(r, reg_starts, &parts.region_starts_by_id));
-    STANDOFF_RETURN_IF_ERROR(
-        ResolveSpan(r, reg_ends, &parts.region_ends_by_id));
     STANDOFF_RETURN_IF_ERROR(ResolveSpan(r, rows, &parts.rows_by_id));
     return so::RegionIndex::FromBorrowed(parts);
   }

@@ -28,7 +28,7 @@
 // everything after the header. The TOC holds the name dictionary
 // refs, the per-document directory (one entry per document: name,
 // blob ref, 13 node-table column refs, element-index refs), and the
-// region-index directory (doc, config, 7 column refs each).
+// region-index directory (doc, config, 5 column refs each).
 #ifndef STANDOFF_STORAGE_SNAPSHOT_H_
 #define STANDOFF_STORAGE_SNAPSHOT_H_
 
@@ -47,9 +47,11 @@ namespace storage {
 
 /// Version 2: column segments are 64-byte aligned (was 8) so borrowed
 /// columns sit on cache-line/vector-register boundaries for the SIMD
-/// merge kernels. Older files are rejected with a version error, per
-/// the DESIGN §11 rule that any layout change bumps the version.
-inline constexpr uint32_t kSnapshotVersion = 2;
+/// merge kernels. Version 3: a region index persists 5 column segments
+/// (the per-id first-region columns are gone). Older files are rejected
+/// with a version error, per the DESIGN §11 rule that any layout change
+/// bumps the version.
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 struct SnapshotWriteOptions {
   /// One RegionIndex per (document, config) is built — reusing the

@@ -54,6 +54,18 @@ so::StandoffOp AxisToOp(Axis axis) {
   }
 }
 
+storage::RegionStats ContextStats(const std::vector<so::IterRegion>& ctx) {
+  std::vector<int64_t> starts, ends;
+  starts.reserve(ctx.size());
+  ends.reserve(ctx.size());
+  for (const so::IterRegion& r : ctx) {
+    starts.push_back(r.start);
+    ends.push_back(r.end);
+  }
+  return storage::RegionStats::Compute(starts.data(), ends.data(),
+                                       starts.size());
+}
+
 /// Row ranges per iteration: offsets[iter] .. offsets[iter+1].
 std::vector<size_t> IterOffsets(const std::vector<Row>& rows,
                                 uint32_t iter_count) {
@@ -315,19 +327,14 @@ ThreadPool* Engine::ExecPool() {
   return pool_.get();
 }
 
-so::ParallelJoinOptions Engine::DeriveParallel() {
-  so::ParallelJoinOptions parallel;
-  parallel.pool = ExecPool();
-  parallel.iter_blocks = options_.exec.num_threads;
-  parallel.candidate_shards = options_.exec.shard_count;
-  parallel.arenas = &arena_pool_;
-  parallel.join = options_.join;
-  return parallel;
-}
-
 so::ChainExecOptions Engine::DeriveChainExec() {
   so::ChainExecOptions exec;
-  exec.parallel = DeriveParallel();
+  exec.parallel.pool = ExecPool();
+  exec.parallel.iter_blocks = options_.exec.num_threads;
+  exec.parallel.candidate_shards = options_.exec.shard_count;
+  exec.parallel.arenas = &arena_pool_;
+  exec.parallel.join = options_.join;
+  exec.checkpoint = &checkpoint_;
   return exec;
 }
 
@@ -336,16 +343,15 @@ StatusOr<const so::RegionIndex*> Engine::GetIndex(storage::DocId doc) {
 }
 
 StatusOr<const Engine::CandidateSet*> Engine::GetCandidates(
-    storage::DocId doc, const Step& step) {
-  const std::string key_name = step.name + "|" + standoff_config_.type;
+    storage::DocId doc, const std::string& name) {
+  const std::string key_name = name + "|" + standoff_config_.type;
   const auto key = std::make_pair(doc, key_name);
   auto it = candidate_cache_.find(key);
   if (it != candidate_cache_.end()) return &it->second;
   StatusOr<const so::RegionIndex*> index = GetIndex(doc);
   if (!index.ok()) return index.status();
   const storage::Span<storage::Pre> name_pres =
-      store_->document(doc).element_index.Lookup(
-          store_->names().Lookup(step.name));
+      store_->document(doc).element_index.Lookup(store_->names().Lookup(name));
   CandidateSet set;
   set.ids.reserve(name_pres.size());
   std::set_intersection((*index)->annotated_ids().begin(),
@@ -436,9 +442,7 @@ StatusOr<so::ChainLayer> Engine::GetChainLayer(storage::DocId doc,
     }
     return layer;
   }
-  Step ast_step;
-  ast_step.name = step.name;
-  StatusOr<const CandidateSet*> candidates = GetCandidates(doc, ast_step);
+  StatusOr<const CandidateSet*> candidates = GetCandidates(doc, step.name);
   if (!candidates.ok()) return candidates.status();
   layer.columns = (*candidates)->entries.View();
   layer.ids = (*candidates)->ids;
@@ -474,23 +478,19 @@ StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
     result.context_ids.assign(ids.begin(), ids.end());
     spec.context_stats = *GetIndexStats(query.doc, **index);
   } else {
-    Step ast_step;
-    ast_step.name = query.context_name;
-    StatusOr<const CandidateSet*> context = GetCandidates(query.doc, ast_step);
+    StatusOr<const CandidateSet*> context =
+        GetCandidates(query.doc, query.context_name);
     if (!context.ok()) return context.status();
     result.context_ids = (*context)->ids;
     spec.context_stats = (*context)->stats;
   }
 
   spec.iter_count = static_cast<uint32_t>(result.context_ids.size());
+  std::vector<so::IterMatch> context_nodes(spec.iter_count);
   for (uint32_t i = 0; i < spec.iter_count; ++i) {
-    (*index)->ForEachRegionOf(
-        result.context_ids[i], [&](int64_t start, int64_t end) {
-          const uint32_t ann = static_cast<uint32_t>(spec.ann_iters.size());
-          spec.ann_iters.push_back(i);
-          spec.context.push_back(so::IterRegion{i, start, end, ann});
-        });
+    context_nodes[i] = so::IterMatch{i, result.context_ids[i]};
   }
+  so::MatchesToContext(context_nodes, **index, &spec.context, &spec.ann_iters);
   for (const ChainStep& step : query.steps) {
     if (!IsStandoffAxis(step.axis)) {
       return Status::Invalid("chain steps must use StandOff axes");
@@ -504,11 +504,7 @@ StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
   }
 
   result.plan = so::PlanChain(spec, options_.plan_mode);
-  so::ChainExecOptions exec = DeriveChainExec();
-  const std::function<Status()> checkpoint = [this] {
-    return CheckDeadline();
-  };
-  exec.checkpoint = &checkpoint;
+  const so::ChainExecOptions exec = DeriveChainExec();
   if (options_.share_subplans) {
     // Canonical sub-plan keys: one per predicate prefix. The '\x1f'
     // separator cannot occur in an XML name and '*' is not a valid
@@ -536,22 +532,6 @@ StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
                                             &result.matches, &result.stats));
   return result;
 }
-
-namespace {
-
-storage::RegionStats ContextStats(const std::vector<so::IterRegion>& ctx) {
-  std::vector<int64_t> starts, ends;
-  starts.reserve(ctx.size());
-  ends.reserve(ctx.size());
-  for (const so::IterRegion& r : ctx) {
-    starts.push_back(r.start);
-    ends.push_back(r.end);
-  }
-  return storage::RegionStats::Compute(starts.data(), ends.data(),
-                                       starts.size());
-}
-
-}  // namespace
 
 Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
                                    const so::RegionIndex& index,
@@ -778,36 +758,51 @@ Status Engine::ApplyStandoffStep(const Step& step, Lifted* rows) {
       docs.push_back(doc);
     }
   }
+  std::vector<so::IterMatch> nodes;
   for (storage::DocId doc : docs) {
     StatusOr<const so::RegionIndex*> index = GetIndex(doc);
     if (!index.ok()) return index.status();
-    std::vector<so::IterRegion> context;
-    context.reserve(rows->rows.size());
+    // The step's context: every region of every context node, built
+    // exactly as the chain executor builds the context between edges.
+    nodes.clear();
     for (const Row& row : rows->rows) {
       const NodeId node = row.item.stored_node();
-      if (node.doc != doc) continue;
-      int64_t start, end;
-      if (!(*index)->RegionOf(node.pre, &start, &end)) continue;
-      context.push_back(so::IterRegion{
-          row.iter, start, end, static_cast<uint32_t>(context.size())});
+      if (node.doc == doc) nodes.push_back(so::IterMatch{row.iter, node.pre});
     }
+    so::ChainSpec spec;
+    spec.iter_count = rows->iter_count;
+    so::MatchesToContext(nodes, **index, &spec.context, &spec.ann_iters);
     std::vector<so::IterMatch> matches;
     switch (mode_) {
-      case StandoffMode::kLoopLifted:
-        STANDOFF_RETURN_IF_ERROR(StandoffLoopLifted(
-            op, doc, context, rows->iter_count, step, &matches));
+      case StandoffMode::kLoopLifted: {
+        // A one-edge chain: same layer choice, planner and deadline
+        // checks as EvaluateChain.
+        so::ChainEdge edge;
+        edge.op = op;
+        StatusOr<so::ChainLayer> layer = GetChainLayer(
+            doc, ChainStep{step.axis, step.any_name, step.name}, &edge);
+        if (!layer.ok()) return layer.status();
+        edge.layer = *layer;
+        spec.context_stats = ContextStats(spec.context);
+        spec.edges.push_back(std::move(edge));
+        STANDOFF_RETURN_IF_ERROR(
+            so::ExecuteChain(spec, so::PlanChain(spec, options_.plan_mode),
+                             DeriveChainExec(), &matches));
         break;
+      }
       case StandoffMode::kBasicMergeJoin:
         STANDOFF_RETURN_IF_ERROR(
-            StandoffBasicPerIteration(op, doc, context, step, &matches));
+            StandoffBasicPerIteration(op, doc, spec.context, step, &matches));
         break;
       case StandoffMode::kUdfNoCandidates:
         STANDOFF_RETURN_IF_ERROR(StandoffUdfPerIteration(
-            op, doc, context, step, /*with_candidates=*/false, &matches));
+            op, doc, spec.context, step, /*with_candidates=*/false,
+            &matches));
         break;
       case StandoffMode::kUdfCandidates:
         STANDOFF_RETURN_IF_ERROR(StandoffUdfPerIteration(
-            op, doc, context, step, /*with_candidates=*/true, &matches));
+            op, doc, spec.context, step, /*with_candidates=*/true,
+            &matches));
         break;
     }
     for (const so::IterMatch& m : matches) {
@@ -817,27 +812,6 @@ Status Engine::ApplyStandoffStep(const Step& step, Lifted* rows) {
   if (docs.size() > 1) SortUniqueNodeRows(&result);
   rows->rows = std::move(result);
   return Status::OK();
-}
-
-Status Engine::StandoffLoopLifted(so::StandoffOp op, storage::DocId doc,
-                                  const std::vector<so::IterRegion>& context,
-                                  uint32_t iter_count, const Step& step,
-                                  std::vector<so::IterMatch>* matches) {
-  StatusOr<const so::RegionIndex*> index = GetIndex(doc);
-  if (!index.ok()) return index.status();
-  std::vector<uint32_t> ann_iters(context.size());
-  for (const so::IterRegion& c : context) ann_iters[c.ann] = c.iter;
-  so::ParallelJoinOptions parallel = DeriveParallel();
-  if (step.any_name) {
-    return so::ParallelLoopLiftedStandoffJoinColumns(
-        op, context, ann_iters, (*index)->columns(),
-        (*index)->annotated_ids(), iter_count, matches, parallel);
-  }
-  StatusOr<const CandidateSet*> candidates = GetCandidates(doc, step);
-  if (!candidates.ok()) return candidates.status();
-  return so::ParallelLoopLiftedStandoffJoinColumns(
-      op, context, ann_iters, (*candidates)->entries.View(),
-      (*candidates)->ids, iter_count, matches, parallel);
 }
 
 Status Engine::StandoffBasicPerIteration(

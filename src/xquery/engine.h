@@ -4,12 +4,21 @@
 // evaluated for ALL iterations at once — which is what lets a StandOff
 // step run as a single Loop-Lifted StandOff MergeJoin.
 //
+// There is one loop-lifted StandOff path. EvaluateChain and a FLWOR
+// StandOff step both build their context rows with so::MatchesToContext
+// (every region of every context node), pick the candidate layer with
+// GetChainLayer (name pushdown or whole index + name filter), and run
+// PlanChain / ExecuteChain with the same deadline checkpoint; a FLWOR
+// step is simply a one-edge chain.
+//
 // The four StandoffMode settings correspond to the implementation
 // alternatives of the paper's Figure 6 and only differ in how the
-// select-/reject- axes execute; results are identical.
+// select-/reject- axes execute; results are identical over a plain
+// store (see the UDF caveat below for pending deltas).
 #ifndef STANDOFF_XQUERY_ENGINE_H_
 #define STANDOFF_XQUERY_ENGINE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,6 +41,12 @@
 namespace standoff {
 namespace xquery {
 
+/// The paper's Figure 6 implementation alternatives for a StandOff step.
+/// The two UDF modes read candidate regions from the node table's
+/// attributes (StandoffUdfPerIteration), not from the region index, so
+/// over a delta view they do not see pending InsertRegion/DeleteRegions
+/// writes on the candidate side. The merge-join modes read the merged
+/// (base ⊎ delta) index and do.
 enum class StandoffMode {
   /// Per-iteration quadratic evaluation against every annotation in the
   /// document, rebuilding the candidate regions from attribute strings on
@@ -43,8 +58,9 @@ enum class StandoffMode {
   /// Basic StandOff MergeJoin: one merge pass over the full region index
   /// per loop iteration (name test applied afterwards).
   kBasicMergeJoin,
-  /// Loop-Lifted StandOff MergeJoin: name-test pushdown through the
-  /// element-name index, then ONE merge pass for all iterations.
+  /// Loop-Lifted StandOff MergeJoin: the step runs as a one-edge chain
+  /// — name-test pushdown through the element-name index when the name
+  /// is selective, then ONE planned merge pass for all iterations.
   kLoopLifted,
 };
 
@@ -64,8 +80,10 @@ struct ExecOptions {
 /// The engine layer of the options scheme (DESIGN.md §15): wraps the
 /// kernel-level so::JoinOptions (which itself extends so::KernelOptions)
 /// with execution-shape and planner knobs. There is ONE derivation path
-/// downward — Engine::DeriveParallel / DeriveChainExec — so a kernel
-/// flag set here reaches every join without field-by-field copying.
+/// downward — Engine::DeriveChainExec — so a kernel flag set here
+/// reaches every join without field-by-field copying; `join.gallop =
+/// false` in particular turns galloping off on every chain edge and
+/// FLWOR step, whatever the planner would choose.
 /// The SIMD dispatch level lives in `join.simd` (so::KernelOptions);
 /// the differential sweeps set it there directly.
 struct EngineOptions {
@@ -73,8 +91,9 @@ struct EngineOptions {
   double timeout_seconds = 0;
   so::JoinOptions join;  // forwarded to the merge-join kernels
   ExecOptions exec;
-  /// Chain-planner order selection (EvaluateChain only): kAuto
-  /// cost-compares; the forced modes pin an order for testing.
+  /// Chain-planner order selection: kAuto cost-compares; the forced
+  /// modes pin an order for testing. (A FLWOR step is a one-edge chain,
+  /// so only the per-edge gallop choice applies to it.)
   so::PlanMode plan_mode = so::PlanMode::kAuto;
   /// Cross-query sub-plan sharing (EvaluateChain): canonical
   /// (doc, type, context, predicate-prefix) keys are probed against the
@@ -123,6 +142,8 @@ class Engine {
   /// region-index cache consults StoreView::delta_run so pending
   /// deltas are merged transparently.
   explicit Engine(const storage::StoreView* store) : store_(store) {}
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
 
   StatusOr<algebra::QueryResult> Evaluate(const std::string& query_text);
 
@@ -162,11 +183,8 @@ class Engine {
   Status ApplyStandoffStep(const Step& step, Lifted* rows);
   Status ApplyPredicate(const Expr& pred, Lifted* rows);
 
-  // StandoffMode implementations for one standoff step over one document.
-  Status StandoffLoopLifted(so::StandoffOp op, storage::DocId doc,
-                            const std::vector<so::IterRegion>& context,
-                            uint32_t iter_count, const Step& step,
-                            std::vector<so::IterMatch>* matches);
+  // The per-iteration StandoffMode baselines for one standoff step over
+  // one document (kLoopLifted runs the step as a one-edge chain).
   Status StandoffBasicPerIteration(so::StandoffOp op, storage::DocId doc,
                                    const std::vector<so::IterRegion>& context,
                                    const Step& step,
@@ -186,7 +204,7 @@ class Engine {
     storage::RegionStats stats;
   };
   StatusOr<const CandidateSet*> GetCandidates(storage::DocId doc,
-                                              const Step& step);
+                                              const std::string& name);
 
   /// A chain layer for one step: the pushed-down candidate set when the
   /// name is selective, the whole index (plus a name post-filter on the
@@ -221,9 +239,8 @@ class Engine {
 
   /// The single downward derivation of the options scheme: expands
   /// EngineOptions into the parallel-join decomposition (pool, blocks,
-  /// shards, arenas, kernel knobs) every join call consumes. Chain
-  /// execution wraps the same derivation in a ChainExecOptions.
-  so::ParallelJoinOptions DeriveParallel();
+  /// shards, arenas, kernel knobs) plus the deadline checkpoint that
+  /// every loop-lifted join — chain edge or FLWOR step — consumes.
   so::ChainExecOptions DeriveChainExec();
 
   const storage::StoreView* store_;
@@ -243,6 +260,11 @@ class Engine {
   std::unique_ptr<so::SubPlanMemo> subplan_memo_;
   Timer deadline_timer_;
   double deadline_seconds_ = 0;  // active budget for the running Evaluate
+  /// CheckDeadline as the chain executor's between-join and in-join
+  /// checkpoint. Captures `this`, so an Engine is never copied or moved.
+  const std::function<Status()> checkpoint_ = [this] {
+    return CheckDeadline();
+  };
 };
 
 /// Aggregated sub-plan memo counters across a BatchEngine's shard

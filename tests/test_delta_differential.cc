@@ -12,6 +12,9 @@
 //     region state, across kernels (scalar / auto SIMD) × plan modes ×
 //     {1,4} threads × {1,3} shards. The corpus keeps one region per
 //     element so the oracle XML has identical pre ids.
+//   * FLWOR vs chain: a FLWOR StandOff step (loop-lifted and basic
+//     modes) and the equivalent one-edge EvaluateChain over a delta
+//     view, with second-region inserts on annotated ids.
 //   * Compaction: writes issued between the compaction freeze and
 //     AdoptCompacted (= mid-compaction writes) must survive the
 //     rebase; ops at or below the frozen sequence must fold into the
@@ -272,6 +275,22 @@ StatusOr<xquery::ChainResult> RunGridPoint(const storage::StoreView* store,
   return engine.EvaluateChain(SceneSpeechWord(doc));
 }
 
+/// Flattened node pres of an Evaluate result, in result order.
+std::vector<Pre> ResultPres(const algebra::QueryResult& result) {
+  std::vector<Pre> pres;
+  for (const algebra::Item& item : result.items) {
+    pres.push_back(item.stored_node().pre);
+  }
+  return pres;
+}
+
+/// Match pres of a chain result, in (iter, pre) order.
+std::vector<Pre> ChainPres(const xquery::ChainResult& result) {
+  std::vector<Pre> pres;
+  for (const IterMatch& m : result.matches) pres.push_back(m.pre);
+  return pres;
+}
+
 }  // namespace
 
 static void TestMergeBaseDeltaRandomOps() {
@@ -358,6 +377,130 @@ static void TestDeltaViewMatchesRebuiltAcrossGrid() {
                            doc, static_cast<int>(level),
                            static_cast<int>(mode), threads, shards,
                            got->matches.size(), want->matches.size());
+              CHECK(false);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+static void TestFlworMatchesChainOverDeltas() {
+  // A FLWOR StandOff step and the equivalent one-edge EvaluateChain
+  // must agree over a delta view — in particular for ids that a delta
+  // insert gave a SECOND region: both sides must take every region of
+  // a context node, not just its first.
+  {
+    // a: [0,10] in the base plus a delta [15,30]; b: [20,25] lies only
+    // inside a's second region.
+    auto base = std::make_shared<storage::ShardedStore>(1);
+    CHECK_OK(base->AddDocumentText(
+        "d0", "<r><a start=\"0\" end=\"10\"/><b start=\"20\" end=\"25\"/></r>"));
+    storage::MutableStore mutable_store(base);
+    CHECK_OK(mutable_store.InsertRegion(0, DefaultFingerprint(), 15, 30,
+                                        /*id=*/2));
+    auto view = mutable_store.View();
+    for (xquery::StandoffMode mode : {xquery::StandoffMode::kLoopLifted,
+                                      xquery::StandoffMode::kBasicMergeJoin}) {
+      xquery::Engine engine(view.get());
+      engine.set_standoff_mode(mode);
+      auto count = engine.Evaluate("count(//a/select-narrow::b)");
+      CHECK_OK(count);
+      if (!count.ok()) continue;
+      CHECK_EQ(count->items.size(), size_t{1});
+      CHECK_EQ(count->items[0].int_value(), int64_t{1});
+    }
+    xquery::Engine engine(view.get());
+    xquery::ChainQuery query;
+    query.context_name = "a";
+    query.steps.push_back({xquery::Axis::kSelectNarrow, false, "b"});
+    auto chain = engine.EvaluateChain(query);
+    CHECK_OK(chain);
+    if (chain.ok()) CHECK(ChainPres(*chain) == std::vector<Pre>{3});
+  }
+
+  const char* const kNames[] = {"a", "b", "c"};
+  const std::pair<xquery::Axis, const char*> kAxes[] = {
+      {xquery::Axis::kSelectNarrow, "select-narrow"},
+      {xquery::Axis::kSelectWide, "select-wide"},
+      {xquery::Axis::kRejectNarrow, "reject-narrow"},
+      {xquery::Axis::kRejectWide, "reject-wide"},
+  };
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    // 30 empty elements under <r> (slot k is pre k + 2), about two in
+    // three with a base region.
+    const size_t slot_count = 30;
+    std::vector<bool> has_base(slot_count);
+    std::string xml = "<r>";
+    for (size_t k = 0; k < slot_count; ++k) {
+      const std::string name = kNames[rng.UniformRange(0, 2)];
+      has_base[k] = rng.UniformRange(0, 2) != 0;
+      if (has_base[k]) {
+        const int64_t start = rng.UniformRange(0, 200);
+        xml += "<" + name + " start=\"" + std::to_string(start) +
+               "\" end=\"" +
+               std::to_string(start + rng.UniformRange(0, 60)) + "\"/>";
+      } else {
+        xml += "<" + name + "/>";
+      }
+    }
+    xml += "</r>";
+    auto base = std::make_shared<storage::ShardedStore>(1);
+    CHECK_OK(base->AddDocumentText("d0", xml));
+    storage::MutableStore mutable_store(base);
+    // The op script: a second region for every fourth base-annotated
+    // slot, then random inserts (bare or annotated slots) and deletes.
+    size_t second_regions = 0;
+    for (size_t k = 0; k < slot_count; k += 4) {
+      if (!has_base[k]) continue;
+      const int64_t start = rng.UniformRange(0, 200);
+      CHECK_OK(mutable_store.InsertRegion(
+          0, DefaultFingerprint(), start, start + rng.UniformRange(0, 60),
+          SlotPre(k)));
+      ++second_regions;
+    }
+    CHECK(second_regions > 0);
+    for (int op = 0; op < 12; ++op) {
+      const Pre id = SlotPre(rng.UniformRange(0, slot_count - 1));
+      if (rng.UniformRange(0, 3) == 0) {
+        CHECK_OK(mutable_store.DeleteRegions(0, DefaultFingerprint(), id));
+      } else {
+        const int64_t start = rng.UniformRange(0, 200);
+        CHECK_OK(mutable_store.InsertRegion(0, DefaultFingerprint(), start,
+                                            start + rng.UniformRange(0, 60),
+                                            id));
+      }
+    }
+    auto view = mutable_store.View();
+
+    for (const char* context : kNames) {
+      for (const char* candidate : kNames) {
+        for (const auto& [axis, axis_name] : kAxes) {
+          xquery::Engine chain_engine(view.get());
+          xquery::ChainQuery query;
+          query.context_name = context;
+          query.steps.push_back({axis, false, candidate});
+          auto chain = chain_engine.EvaluateChain(query);
+          CHECK_OK(chain);
+          if (!chain.ok()) continue;
+          const std::string flwor = std::string("for $c in //") + context +
+                                    " return $c/" + axis_name +
+                                    "::" + candidate;
+          for (xquery::StandoffMode mode :
+               {xquery::StandoffMode::kLoopLifted,
+                xquery::StandoffMode::kBasicMergeJoin}) {
+            xquery::Engine engine(view.get());
+            engine.set_standoff_mode(mode);
+            auto got = engine.Evaluate(flwor);
+            CHECK_OK(got);
+            if (!got.ok()) continue;
+            if (ResultPres(*got) != ChainPres(*chain)) {
+              std::fprintf(stderr, "  seed %llu %s [%s]: %zu vs %zu nodes\n",
+                           static_cast<unsigned long long>(seed),
+                           flwor.c_str(), xquery::StandoffModeName(mode),
+                           got->items.size(), chain->matches.size());
               CHECK(false);
             }
           }
@@ -495,6 +638,7 @@ static void TestCompactionMidBatch() {
 int main() {
   RUN_TEST(TestMergeBaseDeltaRandomOps);
   RUN_TEST(TestDeltaViewMatchesRebuiltAcrossGrid);
+  RUN_TEST(TestFlworMatchesChainOverDeltas);
   RUN_TEST(TestViewCachingAndEmptyDelta);
   RUN_TEST(TestWriteValidation);
   RUN_TEST(TestCompactionMidBatch);

@@ -3,11 +3,14 @@
 // two orders on handcrafted chains — including the degenerate shapes
 // (empty middle layer, single-edge chain, duplicate region sets).
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "standoff/plan.h"
 #include "storage/column_stats.h"
+#include "storage/document_store.h"
 #include "tests/harness.h"
+#include "xquery/engine.h"
 
 using namespace standoff;
 using so::ChainEdge;
@@ -182,6 +185,69 @@ static void TestGallopChoice() {
   const ChainPlan dense_plan = so::PlanChain(dense);
   CHECK(dense_plan.edges[0].est_match_fraction > 0.9);
   CHECK(!dense_plan.edges[0].gallop);
+}
+
+static void TestCallerGallopOffReachesEveryJoin() {
+  // A sparse chain the planner gallops on: three narrow contexts over
+  // ~5,000 small candidates spread across a wide span. The planner may
+  // decline galloping but never overrule a caller's gallop = false —
+  // on EvaluateChain and on the equivalent FLWOR step alike.
+  Rng rng(11);
+  std::string xml = "<r>";
+  for (int64_t s : {100, 500000, 9000000}) {
+    xml += "<ctx start=\"" + std::to_string(s) + "\" end=\"" +
+           std::to_string(s + 100) + "\"/>";
+    xml += "<w start=\"" + std::to_string(s + 10) + "\" end=\"" +
+           std::to_string(s + 15) + "\"/>";  // one sure match each
+  }
+  for (int i = 0; i < 5000; ++i) {
+    const int64_t s = rng.UniformRange(0, 10000000);
+    xml += "<w start=\"" + std::to_string(s) + "\" end=\"" +
+           std::to_string(s + 5) + "\"/>";
+  }
+  xml += "</r>";
+  storage::DocumentStore store;
+  auto doc = store.AddDocumentText("sparse.xml", xml);
+  CHECK_OK(doc);
+  xquery::ChainQuery query;
+  query.doc = *doc;
+  query.context_name = "ctx";
+  query.steps.push_back({xquery::Axis::kSelectNarrow, false, "w"});
+
+  std::vector<IterMatch> reference;
+  for (bool gallop : {true, false}) {
+    xquery::Engine chain_engine(&store);
+    so::JoinStats chain_stats;
+    chain_engine.mutable_options()->join.gallop = gallop;
+    chain_engine.mutable_options()->join.stats = &chain_stats;
+    auto chain = chain_engine.EvaluateChain(query);
+    CHECK_OK(chain);
+    if (!chain.ok()) continue;
+    CHECK(chain->plan.edges[0].gallop);  // the planner's choice
+    if (gallop) {
+      reference = chain->matches;
+      CHECK(chain_stats.candidates_skipped > 0);
+    } else {
+      CHECK(chain->matches == reference);
+      CHECK_EQ(chain_stats.candidates_skipped, size_t{0});
+    }
+
+    xquery::Engine flwor_engine(&store);
+    so::JoinStats flwor_stats;
+    flwor_engine.mutable_options()->join.gallop = gallop;
+    flwor_engine.mutable_options()->join.stats = &flwor_stats;
+    auto flwor =
+        flwor_engine.Evaluate("for $c in //ctx return $c/select-narrow::w");
+    CHECK_OK(flwor);
+    if (!flwor.ok()) continue;
+    CHECK_EQ(flwor->items.size(), chain->matches.size());
+    if (gallop) {
+      CHECK(flwor_stats.candidates_skipped > 0);
+    } else {
+      CHECK_EQ(flwor_stats.candidates_skipped, size_t{0});
+    }
+  }
+  CHECK(!reference.empty());
 }
 
 static void TestOrderSelection() {
@@ -454,6 +520,7 @@ static void TestSubPlanMemoCollisions() {
 int main() {
   RUN_TEST(TestRegionStats);
   RUN_TEST(TestGallopChoice);
+  RUN_TEST(TestCallerGallopOffReachesEveryJoin);
   RUN_TEST(TestOrderSelection);
   RUN_TEST(TestTinyChainBothOrders);
   RUN_TEST(TestEmptyMiddleLayer);

@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "standoff/region_index.h"
@@ -59,11 +61,43 @@ static void TestBuildFromTable() {
   CHECK(test::Rows(*index)[3] == (RegionEntry{52, 94, 8}));
   CHECK(test::Rows(*index)[4] == (RegionEntry{64, 94, 5}));
 
-  int64_t start, end;
-  CHECK(index->RegionOf(7, &start, &end));
-  CHECK_EQ(start, int64_t{0});
-  CHECK_EQ(end, int64_t{31});
-  CHECK(!index->RegionOf(1, &start, &end));
+  std::vector<std::pair<int64_t, int64_t>> regions;
+  const auto collect = [&regions](int64_t start, int64_t end) {
+    regions.emplace_back(start, end);
+  };
+  index->ForEachRegionOf(7, collect);
+  CHECK_EQ(regions.size(), size_t{1});
+  CHECK(regions[0] == std::make_pair(int64_t{0}, int64_t{31}));
+  regions.clear();
+  index->ForEachRegionOf(1, collect);  // <video> carries no region
+  CHECK(regions.empty());
+}
+
+static void TestForEachRegionOfMultiRegion() {
+  // Id 5 carries two regions, inserted out of start order; ids 3 and 9
+  // one each, so lookups sit before and after the surplus row.
+  const so::RegionIndex index = so::RegionIndex::FromEntries(
+      {RegionEntry{15, 30, 5}, RegionEntry{20, 25, 9}, RegionEntry{0, 10, 5},
+       RegionEntry{40, 50, 3}});
+  std::vector<std::pair<int64_t, int64_t>> regions;
+  const auto collect = [&regions](int64_t start, int64_t end) {
+    regions.emplace_back(start, end);
+  };
+  index.ForEachRegionOf(3, collect);
+  CHECK_EQ(regions.size(), size_t{1});
+  CHECK(regions[0] == std::make_pair(int64_t{40}, int64_t{50}));
+  regions.clear();
+  index.ForEachRegionOf(5, collect);
+  CHECK_EQ(regions.size(), size_t{2});
+  CHECK(regions[0] == std::make_pair(int64_t{0}, int64_t{10}));
+  CHECK(regions[1] == std::make_pair(int64_t{15}, int64_t{30}));
+  regions.clear();
+  index.ForEachRegionOf(9, collect);
+  CHECK_EQ(regions.size(), size_t{1});
+  CHECK(regions[0] == std::make_pair(int64_t{20}, int64_t{25}));
+  regions.clear();
+  index.ForEachRegionOf(7, collect);
+  CHECK(regions.empty());
 }
 
 static void TestIntersectColumns() {
@@ -189,6 +223,7 @@ static void TestCache() {
 int main() {
   RUN_TEST(TestFromEntriesSorts);
   RUN_TEST(TestBuildFromTable);
+  RUN_TEST(TestForEachRegionOfMultiRegion);
   RUN_TEST(TestIntersectColumns);
   RUN_TEST(TestColumnsMirrorEntries);
   RUN_TEST(TestIntersectAdaptivePathsAgree);

@@ -382,6 +382,18 @@ static void TestRejectsMalformedFiles() {
     CHECK(r.status().ToString().find("version") != std::string::npos);
   }
 
+  // Version-2 files persist 7 column segments per region index (the
+  // per-id first-region columns version 3 dropped); their directory
+  // does not parse as version 3, so they are rejected by version too.
+  {
+    std::string bad = good;
+    bad[8] = 2;
+    WriteFile(path, bad);
+    auto r = storage::Snapshot::Open(path);
+    CHECK(!r.ok());
+    CHECK(r.status().ToString().find("version") != std::string::npos);
+  }
+
   // Checksum mismatch: flip one payload byte.
   {
     std::string bad = good;
