@@ -21,7 +21,8 @@
 //     fresh MutableStore with the WAL off vs attached at fsync=none.
 //     The pair is the WAL's "cheap when you don't ask for durability"
 //     claim (DESIGN.md §16): the regression gate holds the fsync=none
-//     run within 10% of the no-WAL run.
+//     run within 10% of the no-WAL run. The two arms are measured in
+//     alternating slices of one window (minibench's Interleave()).
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -510,6 +511,10 @@ BENCHMARK(BM_DeltaWriteAppend)
     // job's --benchmark_min_time=0.01s would land single-digit
     // iteration counts here and flake the gate on a shared runner.
     ->MinTime(1.0)
+    // Both arms in alternating slices of one window: run one after the
+    // other, host-speed drift between the two windows moved the ratio
+    // by +-15%, more than the gate's margin.
+    ->Interleave()
     ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,7 +63,7 @@ struct Options {
   double rate = 150.0;       // scheduled arrivals per second
   double duration = 2.0;     // seconds
   uint32_t queue = 8;        // in-process admission capacity
-  uint32_t workers = 2;      // in-process pool workers
+  uint32_t workers = 2;      // in-process compaction pool workers
   uint32_t retry_attempts = 4;  // Query attempts per arrival (1 = off)
   bool swap = false;
   std::string swap_path;     // --connect swap target
@@ -78,16 +79,23 @@ bool TakeFlag(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
+/// Chain shapes over the standoff XMark documents (doc 0 is always a
+/// StandOff transform): a selective two-layer probe, a three-layer
+/// chain, and an any-context sweep — the planner-relevant spread. Every
+/// name occurs in the generated corpus; the run fails if a shape
+/// answers no rows, so a shape cannot silently time empty results.
+const char* const kChainShapes[] = {
+    "chain doc=0 ctx=item steps=select-narrow:description",
+    "chain doc=0 ctx=open_auction "
+    "steps=select-narrow:bidder,select-narrow:increase",
+    "chain doc=0 ctx=* steps=select-narrow:emailaddress",
+};
+constexpr size_t kChainShapeCount = std::size(kChainShapes);
+
+/// The chain shapes first, then the Figure 6 FLWOR queries.
 std::vector<std::string> BuildQueryMix() {
-  // Chain shapes over the standoff XMark documents (doc 0 is always a
-  // StandOff transform): a selective two-layer probe, a three-layer
-  // chain, and an any-context sweep — the planner-relevant spread.
-  std::vector<std::string> mix = {
-      "chain doc=0 ctx=item steps=select-narrow:description",
-      "chain doc=0 ctx=item "
-      "steps=select-narrow:description,select-narrow:keyword",
-      "chain doc=0 ctx=* steps=select-narrow:keyword",
-  };
+  std::vector<std::string> mix(std::begin(kChainShapes),
+                               std::end(kChainShapes));
   for (const auto& query : standoff::xmark::BenchmarkQueries()) {
     mix.push_back(std::string("flwor ") + query.standoff);
   }
@@ -104,6 +112,7 @@ double Percentile(const std::vector<double>& sorted, double q) {
 
 struct RunTotals {
   std::vector<double> latencies_us;  // admitted queries only
+  std::vector<uint64_t> rows_by_shape;  // indexed like the query mix
   uint64_t ok = 0;
   uint64_t busy = 0;     // still busy after the retry budget
   uint64_t retries = 0;  // extra attempts spent on transient busy
@@ -220,6 +229,9 @@ int main(int argc, char** argv) {
   std::vector<RunTotals> totals(opt.connections);
   std::vector<std::thread> threads;
   threads.reserve(opt.connections);
+  for (RunTotals& per_thread : totals) {
+    per_thread.rows_by_shape.assign(mix.size(), 0);
+  }
   for (uint32_t t = 0; t < opt.connections; ++t) {
     threads.emplace_back([&, t] {
       auto client = Client::Connect(port);
@@ -244,8 +256,8 @@ int main(int argc, char** argv) {
                             static_cast<double>(index) / opt.rate));
         if (scheduled >= deadline) break;
         std::this_thread::sleep_until(scheduled);  // no-op when behind
-        auto reply = (*client)->QueryWithRetry(
-            mix[static_cast<size_t>(index) % mix.size()], retry);
+        const size_t shape = static_cast<size_t>(index) % mix.size();
+        auto reply = (*client)->QueryWithRetry(mix[shape], retry);
         const auto finished = Clock::now();
         if (!reply.ok()) {
           mine.errors += 1;
@@ -259,6 +271,7 @@ int main(int argc, char** argv) {
           continue;
         }
         mine.ok += 1;
+        mine.rows_by_shape[shape] += reply->rows;
         mine.latencies_us.push_back(
             std::chrono::duration<double, std::micro>(finished - scheduled)
                 .count());
@@ -301,7 +314,11 @@ int main(int argc, char** argv) {
 
   // --- Aggregate and report. --------------------------------------------
   RunTotals all;
+  all.rows_by_shape.assign(mix.size(), 0);
   for (auto& per_thread : totals) {
+    for (size_t i = 0; i < mix.size(); ++i) {
+      all.rows_by_shape[i] += per_thread.rows_by_shape[i];
+    }
     all.ok += per_thread.ok;
     all.busy += per_thread.busy;
     all.retries += per_thread.retries;
@@ -385,6 +402,13 @@ int main(int argc, char** argv) {
   if (all.ok == 0) {
     std::fprintf(stderr, "no queries completed\n");
     return 1;
+  }
+  for (size_t i = 0; i < kChainShapeCount; ++i) {
+    if (all.rows_by_shape[i] == 0) {
+      std::fprintf(stderr, "chain shape returned no rows: %s\n",
+                   mix[i].c_str());
+      return 1;
+    }
   }
   if (opt.swap && swaps_done.load() == 0) {
     std::fprintf(stderr, "swap requested but did not happen\n");

@@ -13,11 +13,13 @@
 // bare forms, plus the "<N>x" fixed-iteration form), per-iteration
 // real_time/cpu_time in the Unit() time unit, kIsRate counters divided
 // by cpu seconds, gbench-shaped JSON (context + benchmarks array) under
-// --benchmark_format=json, and regex --benchmark_filter.
+// --benchmark_format=json, regex --benchmark_filter, and
+// --benchmark_repetitions with "<name>_mean" aggregates. One extension
+// gbench lacks per benchmark: Interleave(), which measures a
+// benchmark's variants in alternating slices of one window.
 //
-// Not implemented (nothing in bench/ uses them): threads, repetitions,
-// manual timing, PauseTiming/ResumeTiming, complexity, templated
-// fixtures.
+// Not implemented (nothing in bench/ uses them): threads, manual
+// timing, PauseTiming/ResumeTiming, complexity, templated fixtures.
 #ifndef STANDOFF_BENCH_MINIBENCH_BENCHMARK_H_
 #define STANDOFF_BENCH_MINIBENCH_BENCHMARK_H_
 
@@ -138,6 +140,14 @@ class Benchmark {
     min_time_ = seconds;
     return this;
   }
+  /// Measures all of this benchmark's arg variants in alternating
+  /// slices of one shared window instead of one after another, so
+  /// host-speed drift lands on every variant alike. For variants a
+  /// within-run ratio gate compares.
+  Benchmark* Interleave() {
+    interleaved_ = true;
+    return this;
+  }
   Benchmark* Apply(void (*custom)(Benchmark*)) {
     custom(this);
     return this;
@@ -147,6 +157,7 @@ class Benchmark {
   Function* fn() const { return fn_; }
   TimeUnit unit() const { return unit_; }
   double min_time() const { return min_time_; }
+  bool interleaved() const { return interleaved_; }
   const std::vector<std::vector<int64_t>>& arg_lists() const {
     return arg_lists_;
   }
@@ -158,6 +169,7 @@ class Benchmark {
   Function* fn_ = nullptr;
   TimeUnit unit_ = kNanosecond;
   double min_time_ = 0;  // 0 = use the --benchmark_min_time flag
+  bool interleaved_ = false;
   std::vector<std::vector<int64_t>> arg_lists_;
 };
 

@@ -135,66 +135,126 @@ Benchmark* RegisterBenchmarkInternal(const char* name, Function* fn) {
 
 }  // namespace internal
 
-/// Drives one (benchmark, args) variant: grow the iteration count until
+/// Drives (benchmark, args) variants: grow the iteration count until
 /// the timed region covers min_time (gbench's adaptive loop), then
 /// report per-iteration times.
 class BenchmarkRunner {
  public:
-  static RunResult Run(const internal::Benchmark& bench,
-                       const std::vector<int64_t>& args) {
+  /// One result per variant in `group`. A lone variant runs on its
+  /// own; a group (an Interleave() benchmark) shares one window.
+  static std::vector<RunResult> Run(
+      const internal::Benchmark& bench,
+      const std::vector<std::vector<int64_t>>& group) {
     const Flags& flags = GetFlags();
-    RunResult result;
-    result.name = bench.name();
-    for (int64_t arg : args) result.name += "/" + std::to_string(arg);
-    result.run_name = result.name;
-    result.unit = bench.unit();
-
     const double min_time =
         bench.min_time() > 0 ? bench.min_time() : flags.min_time;
+    std::vector<RunResult> results;
+    if (group.size() == 1) {
+      results.push_back(
+          Finish(bench, Calibrate(bench, group[0], min_time)));
+      return results;
+    }
+    // Size every variant's slice, then alternate slices, reversing the
+    // order each round so a linear drift lands on every variant alike.
+    // `totals` sums each variant's slices (budget_ counts iterations).
+    std::vector<int64_t> slice_iterations;
+    std::vector<State> totals;
+    for (const auto& args : group) {
+      const State probe = Calibrate(bench, args, min_time / kSlices);
+      slice_iterations.push_back(probe.budget_);
+      totals.push_back(probe.skipped_ ? probe : State(args, 0));
+    }
+    for (int round = 0; round < kSlices; ++round) {
+      for (size_t i = 0; i < group.size(); ++i) {
+        const size_t v = round % 2 == 0 ? i : group.size() - 1 - i;
+        if (totals[v].skipped_) continue;
+        Add(&totals[v], Measure(bench, group[v], slice_iterations[v]));
+      }
+    }
+    for (const State& total : totals) results.push_back(Finish(bench, total));
+    return results;
+  }
+
+ private:
+  static constexpr int kSlices = 64;  // per variant, in an interleaved group
+
+  static State Measure(const internal::Benchmark& bench,
+                       const std::vector<int64_t>& args, int64_t iters) {
+    State state(args, iters);
+    bench.fn()(state);
+    state.StopTiming();  // no-op if the loop already stopped it
+    return state;
+  }
+
+  /// The adaptive loop: the first run whose wall time covers
+  /// `min_time` (or the fixed "<N>x" count).
+  static State Calibrate(const internal::Benchmark& bench,
+                         const std::vector<int64_t>& args, double min_time) {
+    const Flags& flags = GetFlags();
     int64_t iters =
         flags.fixed_iterations > 0 ? flags.fixed_iterations : 1;
     for (;;) {
-      State state(args, iters);
-      bench.fn()(state);
-      state.StopTiming();  // no-op if the loop already stopped it
-      if (state.skipped_) {
-        result.error = true;
-        result.error_message = state.error_message_;
-        result.iterations = 0;
-        return result;
-      }
-      const double wall = state.wall_seconds_;
-      const double cpu = state.cpu_seconds_;
-      const bool enough = flags.fixed_iterations > 0 ||
-                          wall >= min_time ||
-                          iters >= (int64_t{1} << 40);
-      if (enough) {
-        const double scale = UnitScale(bench.unit());
-        const double denom = static_cast<double>(iters);
-        result.iterations = iters;
-        result.real_time = wall / denom * scale;
-        result.cpu_time = cpu / denom * scale;
-        result.counters = state.counters;
-        for (auto& entry : result.counters) {
-          if (entry.second.flags & Counter::kIsRate) {
-            entry.second.value /= std::max(cpu, 1e-12);
-          }
-        }
-        if (state.bytes_processed_ > 0) {
-          result.bytes_per_second =
-              static_cast<double>(state.bytes_processed_) /
-              std::max(cpu, 1e-12);
-        }
-        result.items_processed = state.items_processed_;
-        return result;
+      State state = Measure(bench, args, iters);
+      if (state.skipped_ || flags.fixed_iterations > 0 ||
+          state.wall_seconds_ >= min_time || iters >= (int64_t{1} << 40)) {
+        return state;
       }
       // Overshoot slightly (gbench multiplies by 1.4) so the next run
       // clears min_time in one go; growth is clamped to 10x.
       double multiplier =
-          min_time * 1.4 / std::max(wall, 1e-9);
+          min_time * 1.4 / std::max(state.wall_seconds_, 1e-9);
       multiplier = std::min(10.0, std::max(2.0, multiplier));
       iters = static_cast<int64_t>(static_cast<double>(iters) * multiplier);
     }
+  }
+
+  /// Folds one slice into a variant's totals: iterations, times, byte
+  /// and item counts and rate counters add up; other counters keep the
+  /// latest slice's value.
+  static void Add(State* total, const State& slice) {
+    total->budget_ += slice.budget_;
+    total->wall_seconds_ += slice.wall_seconds_;
+    total->cpu_seconds_ += slice.cpu_seconds_;
+    total->bytes_processed_ += slice.bytes_processed_;
+    total->items_processed_ += slice.items_processed_;
+    for (const auto& [key, counter] : slice.counters) {
+      Counter& sum = total->counters[key];
+      const bool rate = counter.flags & Counter::kIsRate;
+      sum = Counter(rate ? sum.value + counter.value : counter.value,
+                    counter.flags);
+    }
+    total->skipped_ = slice.skipped_;
+    total->error_message_ = slice.error_message_;
+  }
+
+  static RunResult Finish(const internal::Benchmark& bench,
+                          const State& state) {
+    RunResult result;
+    result.name = bench.name();
+    for (int64_t arg : state.ranges_) result.name += "/" + std::to_string(arg);
+    result.run_name = result.name;
+    result.unit = bench.unit();
+    if (state.skipped_) {
+      result.error = true;
+      result.error_message = state.error_message_;
+      return result;
+    }
+    const double scale = UnitScale(bench.unit());
+    const double denom = static_cast<double>(state.budget_);
+    const double cpu = std::max(state.cpu_seconds_, 1e-12);
+    result.iterations = state.budget_;
+    result.real_time = state.wall_seconds_ / denom * scale;
+    result.cpu_time = state.cpu_seconds_ / denom * scale;
+    result.counters = state.counters;
+    for (auto& entry : result.counters) {
+      if (entry.second.flags & Counter::kIsRate) entry.second.value /= cpu;
+    }
+    if (state.bytes_processed_ > 0) {
+      result.bytes_per_second =
+          static_cast<double>(state.bytes_processed_) / cpu;
+    }
+    result.items_processed = state.items_processed_;
+    return result;
   }
 };
 
@@ -372,6 +432,7 @@ size_t RunSpecifiedBenchmarks() {
   for (const auto& bench : Registry()) {
     std::vector<std::vector<int64_t>> variants = bench->arg_lists();
     if (variants.empty()) variants.push_back({});
+    std::vector<std::vector<int64_t>> selected;
     for (const auto& args : variants) {
       std::string name = bench->name();
       for (int64_t arg : args) name += "/" + std::to_string(arg);
@@ -382,15 +443,33 @@ size_t RunSpecifiedBenchmarks() {
         continue;
       }
       std::fprintf(stderr, "running %s\n", name.c_str());
-      const size_t first = results.size();
+      selected.push_back(args);
+    }
+    // Interleaved variants share one window (a fixed "<N>x" count runs
+    // exactly N iterations per variant, so it stays sequential).
+    std::vector<std::vector<std::vector<int64_t>>> groups;
+    if (bench->interleaved() && flags.fixed_iterations == 0 &&
+        !selected.empty()) {
+      groups.push_back(selected);
+    } else {
+      for (const auto& args : selected) groups.push_back({args});
+    }
+    for (const auto& group : groups) {
+      std::vector<std::vector<RunResult>> reps(group.size());
       for (int rep = 0; rep < flags.repetitions; ++rep) {
-        RunResult run = BenchmarkRunner::Run(*bench, args);
-        run.repetitions = flags.repetitions;
-        run.repetition_index = rep;
-        results.push_back(std::move(run));
+        std::vector<RunResult> runs = BenchmarkRunner::Run(*bench, group);
+        for (size_t v = 0; v < group.size(); ++v) {
+          runs[v].repetitions = flags.repetitions;
+          runs[v].repetition_index = rep;
+          reps[v].push_back(std::move(runs[v]));
+        }
       }
-      if (flags.repetitions > 1) {
-        results.push_back(MeanOf(results.data() + first, flags.repetitions));
+      for (const auto& variant_reps : reps) {
+        results.insert(results.end(), variant_reps.begin(),
+                       variant_reps.end());
+        if (flags.repetitions > 1) {
+          results.push_back(MeanOf(variant_reps.data(), flags.repetitions));
+        }
       }
     }
   }

@@ -102,7 +102,9 @@ StatusOr<QueryReply> Client::Query(const std::string& text) {
   if (!rows.ok()) return rows.status();
   out.rows = *rows;
 
-  out.payload.reserve(*payload_bytes);
+  // The announced size is the peer's claim: reserve no more than one
+  // chunk up front and let the payload grow with what actually arrives.
+  out.payload.reserve(std::min<uint64_t>(*payload_bytes, kChunkBytes));
   for (;;) {
     auto frame = ReadFrame(fd_);
     if (!frame.ok()) return frame.status();

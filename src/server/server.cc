@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
 #include <utility>
 
@@ -35,72 +34,77 @@ std::string ErrorBody(const Status& status) {
 /// Chain payload: u32 context count + ids, u32 match count + rows of
 /// (u32 iter, u32 pre). Fixed little-endian layout, identical no
 /// matter which generation or server produced it — the hot-swap test
-/// compares these bytes against a cold single-process run.
-std::string SerializeChain(const xquery::ChainResult& result) {
-  std::string payload;
-  payload.reserve(8 + 4 * result.context_ids.size() +
-                  8 * result.matches.size());
-  AppendU32(&payload, static_cast<uint32_t>(result.context_ids.size()));
-  for (storage::Pre id : result.context_ids) AppendU32(&payload, id);
-  AppendU32(&payload, static_cast<uint32_t>(result.matches.size()));
+/// compares these bytes against a cold single-process run. Appends to
+/// `*out`.
+void SerializeChain(const xquery::ChainResult& result, std::string* out) {
+  out->reserve(out->size() + 8 + 4 * result.context_ids.size() +
+               8 * result.matches.size());
+  AppendU32(out, static_cast<uint32_t>(result.context_ids.size()));
+  for (storage::Pre id : result.context_ids) AppendU32(out, id);
+  AppendU32(out, static_cast<uint32_t>(result.matches.size()));
   for (const so::IterMatch& match : result.matches) {
-    AppendU32(&payload, match.iter);
-    AppendU32(&payload, match.pre);
+    AppendU32(out, match.iter);
+    AppendU32(out, match.pre);
   }
-  return payload;
 }
 
 /// FLWOR payload: u32 item count, then per item a u8 kind tag and the
 /// value (node: u32 doc + u32 pre; int/double: 8 bytes; string: u32
-/// length + bytes).
-std::string SerializeFlwor(const algebra::QueryResult& result) {
+/// length + bytes). Appends to `*out`.
+void SerializeFlwor(const algebra::QueryResult& result, std::string* out) {
   using Kind = algebra::Item::Kind;
-  std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(result.items.size()));
+  AppendU32(out, static_cast<uint32_t>(result.items.size()));
   for (const auto& item : result.items) {
-    payload.push_back(static_cast<char>(item.kind()));
+    out->push_back(static_cast<char>(item.kind()));
     switch (item.kind()) {
       case Kind::kNode: {
         const auto node = item.stored_node();
-        AppendU32(&payload, node.doc);
-        AppendU32(&payload, node.pre);
+        AppendU32(out, node.doc);
+        AppendU32(out, node.pre);
         break;
       }
       case Kind::kInt:
-        AppendU64(&payload, static_cast<uint64_t>(item.int_value()));
+        AppendU64(out, static_cast<uint64_t>(item.int_value()));
         break;
       case Kind::kDouble: {
         uint64_t bits = 0;
         const double value = item.double_value();
         static_assert(sizeof bits == sizeof value, "double is 8 bytes");
         std::memcpy(&bits, &value, sizeof bits);
-        AppendU64(&payload, bits);
+        AppendU64(out, bits);
         break;
       }
       case Kind::kString: {
         const std::string& text = item.string_value();
-        AppendU32(&payload, static_cast<uint32_t>(text.size()));
-        payload.append(text);
+        AppendU32(out, static_cast<uint32_t>(text.size()));
+        out->append(text);
         break;
       }
     }
   }
-  return payload;
+}
+
+/// A write frame's config fingerprint: the rest of the body after the
+/// fixed fields. Empty means the default config; anything else must
+/// parse.
+StatusOr<std::string> WriteFingerprint(std::string fingerprint) {
+  if (fingerprint.empty()) return so::ConfigFingerprint(so::StandoffConfig{});
+  STANDOFF_RETURN_IF_ERROR(so::ParseConfigFingerprint(fingerprint).status());
+  return fingerprint;
 }
 
 }  // namespace
 
-/// Per-connection execution state: the (generation, delta sequence)
-/// this connection's engine was built over, the frozen delta view
-/// pinning that generation's mapping plus its delta runs, and the
-/// warmed BatchEngine. Only the connection's own thread touches it
-/// (frames are serial per connection); the pool task borrows it for
-/// exactly one query at a time.
+/// Per-connection execution state: the frozen delta view this
+/// connection's engine was built over (it pins that generation's
+/// mapping plus its delta runs), the warmed BatchEngine, and the
+/// result buffer each query serializes into (cleared per query, its
+/// capacity kept). Only the connection's own thread touches it —
+/// frames are serial per connection.
 struct Server::ConnState {
-  uint64_t generation = 0;  // 0 = no engine built yet
-  uint64_t delta_seq = 0;
-  std::shared_ptr<const storage::DeltaStoreView> store;
+  std::shared_ptr<const storage::DeltaStoreView> view;
   std::unique_ptr<xquery::BatchEngine> engine;
+  std::string payload;
 };
 
 Server::Server(ServerConfig config)
@@ -443,142 +447,104 @@ bool Server::HandleQuery(int fd, ConnState* conn, const std::string& text) {
     return WriteFrame(fd, MsgType::kBusy, "").ok();
   }
 
-  // Pin the (generation, delta sequence) this query runs against: the
-  // frozen view is consistent for the whole query no matter what
-  // writers, compaction, or swaps do meanwhile. MutableStore caches
-  // the view, so an unchanged store returns the SAME object and the
-  // warm engine below is reused — the zero-write path costs one mutex
-  // hop and two comparisons.
+  // Pin the generation and frozen view this query runs against: the
+  // view is consistent for the whole query no matter what writers,
+  // compaction, or swaps do meanwhile. MutableStore hands out the SAME
+  // view object until a write, swap or compaction replaces it, and the
+  // connection's reference keeps the old one alive, so pointer
+  // equality means "nothing changed" and the warm engine is reused.
   uint64_t generation = 0;
-  std::shared_ptr<const storage::DeltaStoreView> store;
+  std::shared_ptr<const storage::DeltaStoreView> view;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     generation = generation_;
-    store = mutable_store_->View();
+    view = mutable_store_->View();
   }
-  if (conn->generation != generation ||
-      conn->delta_seq != store->delta_sequence()) {
+  if (conn->view != view) {
     // First query after a swap, compaction, or delta write (or ever):
     // rebuild the engine over the new view. The old view's reference
     // drops here — this is where an idle connection releases the
     // previous mapping.
     xquery::EngineOptions options;
     options.timeout_seconds = config_.query_timeout_seconds;
-    conn->engine =
-        std::make_unique<xquery::BatchEngine>(store.get(), options);
-    conn->store = store;
-    conn->generation = generation;
-    conn->delta_seq = store->delta_sequence();
+    conn->engine = std::make_unique<xquery::BatchEngine>(view.get(), options);
+    conn->view = std::move(view);
   }
 
-  // Run on the shared pool; the connection thread waits (frames stay
-  // serial per connection) and the gate empties when the task ends.
-  struct TaskResult {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-    std::string payload;
-    uint8_t kind = kKindChain;
-    uint64_t rows = 0;
-    double seconds = 0;
-  };
-  auto result = std::make_shared<TaskResult>();
-  pool_->Submit([this, conn, store, parsed = *parsed, result] {
-    Timer timer;
-    Status status;
-    std::string payload;
-    uint8_t kind = kKindChain;
-    uint64_t rows = 0;
-    if (parsed.kind == ParsedQuery::Kind::kChain) {
-      if (parsed.chain.doc >= store->document_count()) {
-        status = Status::Invalid(
-            "doc " + std::to_string(parsed.chain.doc) + " out of range (" +
-            std::to_string(store->document_count()) + " documents)");
-      } else {
-        xquery::Engine* engine =
-            conn->engine->shard_engine(store->shard_of(parsed.chain.doc));
-        // Per-query deadline: the tighter of the request's deadline_ms
-        // and the server's configured timeout, restored afterwards
-        // (frames are serial per connection, so the engine is ours).
-        const double configured = config_.query_timeout_seconds;
-        if (parsed.deadline_seconds > 0) {
-          engine->mutable_options()->timeout_seconds =
-              configured > 0 ? std::min(configured, parsed.deadline_seconds)
-                             : parsed.deadline_seconds;
-        }
-        auto chain = engine->EvaluateChain(parsed.chain);
-        engine->mutable_options()->timeout_seconds = configured;
-        if (chain.ok()) {
-          payload = SerializeChain(*chain);
-          rows = chain->matches.size();
-          subplan_hits_.fetch_add(chain->stats.memo_hits,
+  // Evaluate and serialize on this thread while holding the slot.
+  Timer timer;
+  Status status;
+  uint64_t rows = 0;
+  const bool is_chain = parsed->kind == ParsedQuery::Kind::kChain;
+  conn->payload.clear();
+  if (is_chain && parsed->chain.doc >= conn->view->document_count()) {
+    status = Status::Invalid(
+        "doc " + std::to_string(parsed->chain.doc) + " out of range (" +
+        std::to_string(conn->view->document_count()) + " documents)");
+  } else {
+    xquery::Engine* engine = conn->engine->shard_engine(
+        is_chain ? conn->view->shard_of(parsed->chain.doc) : 0);
+    // Per-query deadline: the tighter of the request's deadline_ms and
+    // the server's configured timeout, restored afterwards (frames are
+    // serial per connection, so the engine is ours).
+    double& timeout = engine->mutable_options()->timeout_seconds;
+    const double configured = config_.query_timeout_seconds;
+    if (parsed->deadline_seconds > 0) {
+      timeout = configured > 0 ? std::min(configured, parsed->deadline_seconds)
+                               : parsed->deadline_seconds;
+    }
+    if (is_chain) {
+      auto chain = engine->EvaluateChain(parsed->chain);
+      if (chain.ok()) {
+        SerializeChain(*chain, &conn->payload);
+        rows = chain->matches.size();
+        subplan_hits_.fetch_add(chain->stats.memo_hits,
+                                std::memory_order_relaxed);
+        subplan_misses_.fetch_add(chain->stats.memo_misses,
                                   std::memory_order_relaxed);
-          subplan_misses_.fetch_add(chain->stats.memo_misses,
-                                    std::memory_order_relaxed);
-          subplan_evictions_.fetch_add(chain->stats.memo_evictions,
-                                       std::memory_order_relaxed);
-        } else {
-          status = chain.status();
-        }
+        subplan_evictions_.fetch_add(chain->stats.memo_evictions,
+                                     std::memory_order_relaxed);
+      } else {
+        status = chain.status();
       }
     } else {
-      kind = kKindFlwor;
-      xquery::Engine* engine = conn->engine->shard_engine(0);
-      const double configured = config_.query_timeout_seconds;
-      if (parsed.deadline_seconds > 0) {
-        engine->mutable_options()->timeout_seconds =
-            configured > 0 ? std::min(configured, parsed.deadline_seconds)
-                           : parsed.deadline_seconds;
-      }
-      auto flwor = engine->Evaluate(parsed.flwor);
-      engine->mutable_options()->timeout_seconds = configured;
+      auto flwor = engine->Evaluate(parsed->flwor);
       if (flwor.ok()) {
-        payload = SerializeFlwor(*flwor);
+        SerializeFlwor(*flwor, &conn->payload);
         rows = flwor->items.size();
       } else {
         status = flwor.status();
       }
     }
-    const double seconds = timer.ElapsedSeconds();
-    gate_.Leave();
-    {
-      std::lock_guard<std::mutex> lock(result->mu);
-      result->status = status;
-      result->payload = std::move(payload);
-      result->kind = kind;
-      result->rows = rows;
-      result->seconds = seconds;
-      result->done = true;
-    }
-    result->cv.notify_one();
-  });
+    timeout = configured;
+  }
+  const double seconds = timer.ElapsedSeconds();
+  // The slot is free before any frame goes out: a client that reads
+  // slowly does not hold it.
+  gate_.Leave();
 
-  std::unique_lock<std::mutex> lock(result->mu);
-  result->cv.wait(lock, [&result] { return result->done; });
-
-  if (!result->status.ok()) {
+  if (!status.ok()) {
     queries_error_.fetch_add(1, std::memory_order_relaxed);
-    return WriteFrame(fd, MsgType::kError, ErrorBody(result->status)).ok();
+    return WriteFrame(fd, MsgType::kError, ErrorBody(status)).ok();
   }
   queries_ok_.fetch_add(1, std::memory_order_relaxed);
 
+  const std::string_view payload = conn->payload;
   std::string header;
   AppendU64(&header, generation);
-  header.push_back(static_cast<char>(result->kind));
-  AppendU64(&header, result->payload.size());
-  AppendU64(&header, result->rows);
+  header.push_back(static_cast<char>(is_chain ? kKindChain : kKindFlwor));
+  AppendU64(&header, payload.size());
+  AppendU64(&header, rows);
   if (!WriteFrame(fd, MsgType::kResultHeader, header).ok()) return false;
-  for (size_t off = 0; off < result->payload.size(); off += kChunkBytes) {
-    const size_t len = std::min(kChunkBytes, result->payload.size() - off);
+  for (size_t off = 0; off < payload.size(); off += kChunkBytes) {
     if (!WriteFrame(fd, MsgType::kResultChunk,
-                    std::string_view(result->payload).substr(off, len))
+                    payload.substr(off, kChunkBytes))
              .ok()) {
       return false;
     }
   }
   std::string end;
-  AppendU64(&end, static_cast<uint64_t>(result->seconds * 1e6));
+  AppendU64(&end, static_cast<uint64_t>(seconds * 1e6));
   return WriteFrame(fd, MsgType::kResultEnd, end).ok();
 }
 
@@ -593,15 +559,13 @@ bool Server::HandleInsert(int fd, const std::string& body) {
                       ErrorBody(Status::Invalid("short insert frame")))
         .ok();
   }
-  std::string fingerprint = body.substr(off);
-  if (fingerprint.empty()) {
-    fingerprint = so::ConfigFingerprint(so::StandoffConfig{});
-  } else if (auto parsed = so::ParseConfigFingerprint(fingerprint);
-             !parsed.ok()) {
-    return WriteFrame(fd, MsgType::kError, ErrorBody(parsed.status())).ok();
+  auto fingerprint = WriteFingerprint(body.substr(off));
+  if (!fingerprint.ok()) {
+    return WriteFrame(fd, MsgType::kError, ErrorBody(fingerprint.status()))
+        .ok();
   }
   auto seq = mutable_store_->InsertRegion(
-      *doc, fingerprint, static_cast<int64_t>(*start),
+      *doc, *fingerprint, static_cast<int64_t>(*start),
       static_cast<int64_t>(*end), *id);
   if (!seq.ok()) {
     return WriteFrame(fd, MsgType::kError, ErrorBody(seq.status())).ok();
@@ -620,14 +584,12 @@ bool Server::HandleDelete(int fd, const std::string& body) {
                       ErrorBody(Status::Invalid("short delete frame")))
         .ok();
   }
-  std::string fingerprint = body.substr(off);
-  if (fingerprint.empty()) {
-    fingerprint = so::ConfigFingerprint(so::StandoffConfig{});
-  } else if (auto parsed = so::ParseConfigFingerprint(fingerprint);
-             !parsed.ok()) {
-    return WriteFrame(fd, MsgType::kError, ErrorBody(parsed.status())).ok();
+  auto fingerprint = WriteFingerprint(body.substr(off));
+  if (!fingerprint.ok()) {
+    return WriteFrame(fd, MsgType::kError, ErrorBody(fingerprint.status()))
+        .ok();
   }
-  auto seq = mutable_store_->DeleteRegions(*doc, fingerprint, *id);
+  auto seq = mutable_store_->DeleteRegions(*doc, *fingerprint, *id);
   if (!seq.ok()) {
     return WriteFrame(fd, MsgType::kError, ErrorBody(seq.status())).ok();
   }

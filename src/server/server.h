@@ -3,15 +3,19 @@
 // Threading model (DESIGN.md §13):
 //
 //   accept thread ── spawns ──> one thread per connection (frames are
-//   handled serially per connection) ── admits queries through the
-//   AdmissionGate ──> shared execution ThreadPool runs the query on the
-//   connection's BatchEngine; the connection thread streams the result.
+//   handled serially per connection) ── admits each query through the
+//   AdmissionGate, then evaluates it on its own BatchEngine, serializes
+//   the result, leaves the gate and streams the frames — all on the
+//   connection thread. The shared ThreadPool runs only auto-compaction
+//   and a compaction's merge fan-out.
 //
-// Backpressure: the gate bounds queries queued-or-running across ALL
+// Backpressure: the gate bounds queries RUNNING across all
 // connections. When it is full, a kQueryReq is answered immediately
 // with kBusy — the request is never buffered, so a burst cannot grow
 // an unbounded queue; clients retry with their own policy. Capacity 0
 // rejects everything (useful for deterministic backpressure tests).
+// The slot is released before the first result frame is written, so
+// a slow reader never holds one.
 //
 // Snapshot hot-swap: SwapSnapshot opens the new file, publishes
 // {generation+1, new shared store} under the state mutex, and destroys
@@ -23,10 +27,10 @@
 // never waits for queries.
 //
 // A connection's BatchEngine (and its warmed caches) is rebuilt lazily
-// on the first query AFTER the connection observes a new generation;
-// an idle connection therefore pins the previous mapping until its
-// next query — the deliberate cost of zero coordination on the query
-// path.
+// on the first query AFTER the store's view changes (a write, swap or
+// compaction); an idle connection therefore pins the previous view and
+// mapping until its next query — the deliberate cost of zero
+// coordination on the query path.
 #ifndef STANDOFF_SERVER_SERVER_H_
 #define STANDOFF_SERVER_SERVER_H_
 
@@ -53,9 +57,10 @@ struct ServerConfig {
   /// TCP port to listen on; 0 binds an ephemeral port (read it back
   /// with port()). Listens on 127.0.0.1 only.
   uint16_t port = 0;
-  /// Workers in the shared execution pool.
+  /// Workers for auto-compaction and compaction merges. Queries run on
+  /// their connection threads, not here.
   uint32_t pool_workers = 2;
-  /// Admission bound: queries queued-or-running across all connections.
+  /// Admission bound: queries running across all connections.
   /// Requests beyond it get kBusy. 0 = reject every query.
   uint32_t admission_capacity = 8;
   /// Connections beyond this are greeted with kError and closed.
@@ -181,7 +186,7 @@ class Server {
 
   void AcceptLoop();
   void ConnectionLoop(int fd);
-  /// One kQueryReq: parse, admit, execute on the pool, stream result.
+  /// One kQueryReq: parse, admit, evaluate inline, stream the result.
   /// Returns false when the connection is no longer writable.
   bool HandleQuery(int fd, ConnState* conn, const std::string& text);
   bool HandleInsert(int fd, const std::string& body);

@@ -9,6 +9,9 @@
 //                   [--scale=0.02] [--docs=4] [--shards=2]
 //                   [--bootstrap-only]
 //
+// Queries run on their connection threads, at most --queue at once;
+// --workers sizes the pool that runs compactions.
+//
 // --wal-dir enables crash-safe write-ahead durability (DESIGN.md §16):
 // boot replays the log (recovering acknowledged writes, truncating a
 // torn tail) and every accepted write is logged before its ack.

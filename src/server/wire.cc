@@ -120,18 +120,20 @@ StatusOr<Frame> ReadFrame(int fd) {
                            " exceeds cap " + std::to_string(kMaxFrameBytes));
   }
 
-  std::string payload(length, '\0');
-  const ssize_t body_got = RecvAll(fd, payload.data(), payload.size());
-  if (body_got < 0) {
+  // The type byte, then the body straight into its final string.
+  Frame frame;
+  frame.body.resize(length - 1);
+  uint8_t type = 0;
+  const ssize_t type_got = RecvAll(fd, &type, 1);
+  const ssize_t body_got =
+      type_got == 1 ? RecvAll(fd, frame.body.data(), frame.body.size()) : 0;
+  if (type_got < 0 || body_got < 0) {
     return Status::Internal(std::string("recv: ") + std::strerror(errno));
   }
-  if (body_got < static_cast<ssize_t>(payload.size())) {
+  if (type_got < 1 || body_got < static_cast<ssize_t>(frame.body.size())) {
     return Status::Internal("truncated frame: EOF inside payload");
   }
-
-  Frame frame;
-  frame.type = static_cast<MsgType>(static_cast<uint8_t>(payload[0]));
-  frame.body = payload.substr(1);
+  frame.type = static_cast<MsgType>(type);
   return frame;
 }
 

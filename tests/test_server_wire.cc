@@ -4,13 +4,16 @@
 // mid-stream, admission-queue overload, the connection cap — produces
 // a clean error (or a closed connection) and leaves the server fully
 // serviceable. Runs under ASan/TSan in the sanitizer CI jobs.
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -428,6 +431,71 @@ static void TestPerQueryDeadline() {
       "flwor deadline_ms=60000 count(/play/select-narrow::word)");
   CHECK_OK(flwor_generous);
   CHECK_OK(client->Ping());
+
+  // A tripped deadline does not leak: right after it, the same text
+  // without deadline_ms on the SAME connection succeeds and answers
+  // byte-identically to a fresh connection. (The chain is one this
+  // connection has not run yet, so no memoized result short-cuts the
+  // deadline checkpoint.)
+  const std::pair<const char*, const char*> kinds[] = {
+      {"chain doc=2 ctx=scene deadline_ms=0.000001 "
+       "steps=select-wide:speech,select-narrow:word",
+       "chain doc=2 ctx=scene steps=select-wide:speech,select-narrow:word"},
+      {"flwor deadline_ms=0.000001 count(/play/select-narrow::word)",
+       "flwor count(/play/select-narrow::word)"},
+  };
+  for (const auto& [tight, plain] : kinds) {
+    auto tripped = client->Query(tight);
+    CHECK(!tripped.ok());
+    CHECK(tripped.status().code() == StatusCode::kTimedOut);
+    auto after = client->Query(plain);
+    auto fresh = fx.Connect()->Query(plain);
+    CHECK_OK(after);
+    CHECK_OK(fresh);
+    CHECK(after->payload == fresh->payload);
+    CHECK_EQ(after->rows, fresh->rows);
+  }
+}
+
+// A peer that announces an absurd result size must not make the client
+// allocate it: Query returns an error instead of throwing.
+static void TestClientRejectsHostileResultHeader() {
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  CHECK(listen_fd >= 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  CHECK(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
+        0);
+  CHECK(::listen(listen_fd, 1) == 0);
+  socklen_t addr_len = sizeof addr;
+  CHECK(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                      &addr_len) == 0);
+
+  std::thread peer([listen_fd] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    CHECK(fd >= 0);
+    auto query = server::ReadFrame(fd);
+    CHECK_OK(query);
+    std::string header;
+    server::AppendU64(&header, 1);  // generation
+    header.push_back('\0');         // chain result
+    server::AppendU64(&header, UINT64_MAX);  // announced payload bytes
+    server::AppendU64(&header, 0);  // rows
+    CHECK_OK(server::WriteFrame(fd, server::MsgType::kResultHeader, header));
+    std::string end;
+    server::AppendU64(&end, 0);
+    CHECK_OK(server::WriteFrame(fd, server::MsgType::kResultEnd, end));
+    ::close(fd);
+  });
+
+  auto client = server::Client::Connect(ntohs(addr.sin_port));
+  CHECK_OK(client);
+  auto reply = (*client)->Query(kChainQuery);
+  CHECK(!reply.ok());
+  peer.join();
+  ::close(listen_fd);
 }
 
 // The stats frame's sub-plan memo counters: an overlapping pair of
@@ -467,5 +535,6 @@ int main() {
   RUN_TEST(TestExitedConnectionsAreReaped);
   RUN_TEST(TestPerQueryDeadline);
   RUN_TEST(TestStatsReportSubPlanCounters);
+  RUN_TEST(TestClientRejectsHostileResultHeader);
   TEST_MAIN();
 }
