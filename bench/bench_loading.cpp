@@ -225,8 +225,7 @@ void BM_SnapshotSave(benchmark::State& state) {
 // Parallel ingestion. Args: (total threads incl. caller, 1). Wall-clock
 // scaling appears on multi-core hosts; on 1-core containers cpu_time
 // (the CALLER's share) dropping toward 1/threads is the evidence the
-// parse+shred work moved onto the pool (same methodology as
-// bench_parallel_scaling).
+// parse+shred work moved onto the pool.
 // ---------------------------------------------------------------------------
 
 const std::vector<std::string>& IngestCorpus() {
@@ -302,11 +301,10 @@ BENCHMARK(BM_ColdStartReparse)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SnapshotOpen)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SnapshotOpenNoVerify)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMillisecond);
-// Args mirror bench_parallel_scaling's (threads, 1) naming so
-// bench/check_scaling.py can gate "BM_ParallelIngest/4/1" against
-// "/1/1" unchanged: default timing keeps cpu_time = the CALLER's
-// thread (the 1-core caller-share evidence) and real_time = wall (the
-// multi-core speedup the CI job asserts).
+// Args are (threads, 1) so bench/check_scaling.py gates
+// "BM_ParallelIngest/4/1" against "/1/1": default timing keeps
+// cpu_time = the CALLER's thread (the 1-core caller-share evidence) and
+// real_time = wall (the multi-core speedup the CI job asserts).
 BENCHMARK(BM_ParallelIngest)
     ->Args({1, 1})
     ->Args({2, 1})

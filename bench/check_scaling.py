@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
 """Parallel-scaling gate for the CI bench-scaling job.
 
-Reads bench_parallel_scaling's google-benchmark JSON, computes the
-4-thread wall-clock speedup of the acceptance workload
-(BM_ParallelLoopLifted/10000/1000/{1,4}/1), and writes a machine-
-readable scaling_report.json — num_cpus, per-configuration real and
-CPU time, the speedup, and the caller's CPU share (google-benchmark's
-cpu_time measures the calling thread, so 4-thread cpu_time over serial
-cpu_time ≈ 0.25-0.4 is the per-thread evidence that the merge pass
-really was split across workers rather than merely re-timed).
+Reads a benchmark JSON (bench_loading's, filtered to the workload),
+computes the 4-thread wall-clock speedup of the workload's
+{workload}/1/1 and {workload}/4/1 rows (by default BM_ParallelIngest,
+multi-document ingest), and writes a machine-readable
+scaling_report.json — num_cpus, per-configuration real and CPU time,
+the speedup, and the CPU-time ratio of the two rows.
 
 Gate: on a host with >= 2 CPUs the speedup must reach --min-speedup
 (default 1.5). Single-core hosts only report.
@@ -31,11 +29,10 @@ def pick(benchmarks, name):
 
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("results", help="bench_parallel_scaling JSON output")
+    parser.add_argument("results", help="benchmark JSON output")
     parser.add_argument("--out", default="scaling_report.json")
     parser.add_argument("--min-speedup", type=float, default=1.5)
-    parser.add_argument("--workload",
-                        default="BM_ParallelLoopLifted/10000/1000")
+    parser.add_argument("--workload", default="BM_ParallelIngest")
     args = parser.parse_args()
 
     data = json.load(open(args.results))

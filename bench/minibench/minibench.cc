@@ -404,9 +404,14 @@ void PrintConsole(const std::vector<RunResult>& results) {
                   run.error_message.c_str());
       continue;
     }
-    std::printf("%-50s %12.1f %s %12.1f %s %12lld\n", run.name.c_str(),
+    std::printf("%-50s %12.1f %s %12.1f %s %12lld", run.name.c_str(),
                 run.real_time, UnitName(run.unit), run.cpu_time,
                 UnitName(run.unit), static_cast<long long>(run.iterations));
+    // User counters follow the timings, as google-benchmark prints them.
+    for (const auto& [key, counter] : run.counters) {
+      std::printf(" %s=%.4g", key.c_str(), counter.value);
+    }
+    std::printf("\n");
   }
 }
 

@@ -49,9 +49,9 @@ if [[ "$BUILD_TYPE" != "Release" &&
   exit 1
 fi
 
-BENCHES=(bench_mergejoin_micro bench_parallel_scaling
-         bench_ablation_active_list bench_ablation_pushdown bench_loading
-         bench_skew_sparsity bench_chain_planner bench_server_loadgen)
+BENCHES=(bench_mergejoin_micro bench_ablation_active_list
+         bench_ablation_pushdown bench_loading bench_skew_sparsity
+         bench_chain_planner bench_server_loadgen)
 
 # Runs one bench under a tiny wrapper that reports the child's peak RSS
 # (resource.getrusage of the finished child) next to its timings —

@@ -4,8 +4,8 @@
 // fallback (always available, and the baseline the benches compare
 // against), kSSE42 and kAVX2 select the 2- and 4-lane int64 vector
 // variants. Detect() probes CPUID once (cached); Resolve() turns a
-// requested level — usually kAuto from JoinOptions/ExecOptions — into
-// a concrete supported level, honoring the STANDOFF_SIMD environment
+// requested level — usually kAuto from JoinOptions — into a concrete
+// supported level, honoring the STANDOFF_SIMD environment
 // override ("scalar" | "sse4.2" | "avx2" | "auto", read once) so CI
 // legs and local runs can force the fallback without a rebuild. A
 // forced level the CPU cannot run is clamped down, never trusted.

@@ -1,5 +1,5 @@
-// A small work-stealing thread pool plus the ParallelFor helper every
-// parallel kernel is built on.
+// A small work-stealing thread pool plus the ParallelFor helper that
+// parallel ingest, snapshot saves and compaction merges are built on.
 //
 // Each worker owns a deque: Submit round-robins new tasks across the
 // deques, a worker pops from the front of its own deque, and an idle

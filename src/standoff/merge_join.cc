@@ -19,28 +19,6 @@ const char* StandoffOpName(StandoffOp op) {
   return "?";
 }
 
-JoinArena* JoinArenaPool::Acquire() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!free_.empty()) {
-    JoinArena* arena = free_.back();
-    free_.pop_back();
-    return arena;
-  }
-  all_.push_back(std::make_unique<JoinArena>());
-  return all_.back().get();
-}
-
-void JoinArenaPool::Release(JoinArena* arena) {
-  if (arena == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  free_.push_back(arena);
-}
-
-size_t JoinArenaPool::created() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return all_.size();
-}
-
 namespace {
 
 using detail::ActiveItem;
@@ -596,10 +574,6 @@ std::vector<IterRegion> SingleIterationRows(
   return rows;
 }
 
-}  // namespace
-
-namespace detail {
-
 storage::Span<storage::Pre> NormalizeUniverse(
     storage::Span<storage::Pre> ids, std::vector<storage::Pre>* scratch) {
   if (std::is_sorted(ids.begin(), ids.end()) &&
@@ -611,32 +585,6 @@ storage::Span<storage::Pre> NormalizeUniverse(
   scratch->erase(std::unique(scratch->begin(), scratch->end()),
                  scratch->end());
   return storage::Span<storage::Pre>(*scratch);
-}
-
-void ComplementPerIteration(const std::vector<IterRegion>& context,
-                            const std::vector<IterMatch>& matches,
-                            storage::Span<storage::Pre> universe,
-                            uint32_t iter_count,
-                            std::vector<IterMatch>* out) {
-  std::vector<uint8_t> present(iter_count, 0);
-  for (const IterRegion& c : context) present[c.iter] = 1;
-  size_t m = 0;
-  for (uint32_t iter = 0; iter < iter_count; ++iter) {
-    while (m < matches.size() && matches[m].iter < iter) ++m;
-    if (!present[iter]) continue;
-    size_t k = m;
-    const size_t iter_end = [&] {
-      size_t e = m;
-      while (e < matches.size() && matches[e].iter == iter) ++e;
-      return e;
-    }();
-    for (storage::Pre id : universe) {
-      while (k < iter_end && matches[k].pre < id) ++k;
-      if (k < iter_end && matches[k].pre == id) continue;
-      out->push_back(IterMatch{iter, id});
-    }
-    m = iter_end;
-  }
 }
 
 void RadixSortKeys(std::vector<uint64_t>* keys, std::vector<uint64_t>* tmp) {
@@ -675,7 +623,7 @@ void RadixSortKeys(std::vector<uint64_t>* keys, std::vector<uint64_t>* tmp) {
   if (src != keys->data()) std::copy(src, src + n, keys->data());
 }
 
-}  // namespace detail
+}  // namespace
 
 void NaiveStandoffJoin(StandoffOp op,
                        const std::vector<AreaAnnotation>& context,
@@ -760,8 +708,7 @@ Status LoopLiftedStandoffJoinColumns(
     if (a.start != b.start) return a.start < b.start;
     return a.end < b.end;
   };
-  // Already-ordered input (every shard cell of a parallel join re-joins
-  // the same pre-sorted block context) skips the sort.
+  // Already-ordered input skips the sort.
   if (!std::is_sorted(ctx.begin(), ctx.end(), ctx_less)) {
     std::sort(ctx.begin(), ctx.end(), ctx_less);
   }
@@ -774,10 +721,9 @@ Status LoopLiftedStandoffJoinColumns(
   // steps would skip events — so galloping is forced off under a sink.
   const bool gallop = options.gallop && options.trace == nullptr;
   const bool narrow = IsNarrow(op);
-  // Resolve the dispatch level once per call; parallel cells copy the
-  // resolved JoinOptions, so every shard of one join runs the same
-  // kernels. Scalar level keeps the per-row loops (the baseline), any
-  // vector level additionally enables the blockwise fast paths.
+  // Resolve the dispatch level once per call. Scalar level keeps the
+  // per-row loops (the baseline), any vector level additionally enables
+  // the blockwise fast paths.
   const simd::Level level = simd::Resolve(options.simd);
   const simdk::KernelOps& ops = simdk::Ops(level);
   const bool blocks =
@@ -815,7 +761,7 @@ Status LoopLiftedStandoffJoinColumns(
   // takes the radix pass — never a comparison sort on large outputs.
   std::vector<uint64_t>& keys = arena->keys;
   if (!state.emitted_sorted) {
-    detail::RadixSortKeys(&keys, &arena->keys_tmp);
+    RadixSortKeys(&keys, &arena->keys_tmp);
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   } else if (state.emitted_dup) {
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
@@ -832,7 +778,7 @@ Status LoopLiftedStandoffJoinColumns(
 
   // Reject: complement against the candidate universe per iteration.
   const storage::Span<storage::Pre> universe =
-      detail::NormalizeUniverse(candidate_ids, &arena->universe_scratch);
+      NormalizeUniverse(candidate_ids, &arena->universe_scratch);
   ComplementFromKeys(ctx, keys, universe, iter_count, &arena->iter_present,
                      out);
   return Status::OK();

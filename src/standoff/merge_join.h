@@ -41,8 +41,6 @@
 #define STANDOFF_STANDOFF_MERGE_JOIN_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -131,9 +129,8 @@ struct ActiveItem {
 
 /// Reusable scratch for one merge pass: every buffer the kernel needs,
 /// sized on first use and retained (capacity never shrinks) across
-/// calls. One arena serves one call at a time; share across threads via
-/// JoinArenaPool. All members are owned by the kernels — callers only
-/// construct, hold, and pass the arena.
+/// calls. One arena serves one call at a time. All members are owned
+/// by the kernels — callers only construct, hold, and pass the arena.
 class JoinArena {
  public:
   std::vector<IterRegion> ctx;               // sorted context copy
@@ -145,23 +142,6 @@ class JoinArena {
   std::vector<detail::ActiveItem> active_b;  // candidate active storage
   std::vector<storage::Pre> universe_scratch;
   std::vector<uint8_t> iter_present;         // reject complement scratch
-};
-
-/// Thread-safe free list of arenas for the parallel kernels: each
-/// (block, shard) cell checks one out for the duration of its serial
-/// pass. Arenas are created on demand and retained, so a warmed pool
-/// serves any number of subsequent joins without allocation inside the
-/// kernels.
-class JoinArenaPool {
- public:
-  JoinArena* Acquire();
-  void Release(JoinArena* arena);
-  size_t created() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<JoinArena>> all_;
-  std::vector<JoinArena*> free_;
 };
 
 /// Algorithm knobs of the merge kernels themselves — the bottom layer
@@ -226,32 +206,6 @@ Status LoopLiftedStandoffJoinColumns(
     const std::vector<uint32_t>& ann_iters, RegionColumns candidates,
     storage::Span<storage::Pre> candidate_ids, uint32_t iter_count,
     std::vector<IterMatch>* out, JoinOptions options = JoinOptions());
-
-// Pieces of the serial kernel the parallel variant reuses, so the two
-// paths cannot drift apart.
-namespace detail {
-
-/// Sorted, duplicate-free view of `ids`; `*scratch` is filled only
-/// when the input needs normalizing.
-storage::Span<storage::Pre> NormalizeUniverse(
-    storage::Span<storage::Pre> ids, std::vector<storage::Pre>* scratch);
-
-/// Appends, for every iteration with at least one row in `context`,
-/// the candidate universe minus that iteration's select matches.
-/// `matches` must be sorted by (iter, pre) and duplicate-free;
-/// `universe` sorted ascending and duplicate-free.
-void ComplementPerIteration(const std::vector<IterRegion>& context,
-                            const std::vector<IterMatch>& matches,
-                            storage::Span<storage::Pre> universe,
-                            uint32_t iter_count,
-                            std::vector<IterMatch>* out);
-
-/// In-place LSD radix sort of packed keys; `tmp` is the ping-pong
-/// buffer. Byte positions on which all keys agree are skipped, so the
-/// common low-iter/low-pre case runs few passes.
-void RadixSortKeys(std::vector<uint64_t>* keys, std::vector<uint64_t>* tmp);
-
-}  // namespace detail
 
 }  // namespace so
 }  // namespace standoff

@@ -153,12 +153,11 @@ Status RunJoin(const ChainEdge& edge, const EdgePlan& edge_plan,
   if (!layer.ids_set) {
     return Status::Invalid("chain layer has no candidate universe");
   }
-  ParallelJoinOptions parallel = options.parallel;
-  parallel.join.gallop = options.parallel.join.gallop && edge_plan.gallop;
-  parallel.checkpoint = options.checkpoint;
-  STANDOFF_RETURN_IF_ERROR(ParallelLoopLiftedStandoffJoinColumns(
+  JoinOptions join = options.join;
+  join.gallop = options.join.gallop && edge_plan.gallop;
+  STANDOFF_RETURN_IF_ERROR(LoopLiftedStandoffJoinColumns(
       edge.op, ctx, ann_iters, layer.columns, layer.ids, iter_count, out,
-      parallel));
+      join));
   if (edge.post) STANDOFF_RETURN_IF_ERROR(edge.post(out));
   if (stats) {
     ++stats->joins_run;
@@ -229,13 +228,11 @@ Status RunBottomUpLast(const ChainSpec& spec, const ChainPlan& plan,
     if (!last_edge.layer.ids_set) {
       return Status::Invalid("chain layer has no candidate universe");
     }
-    ParallelJoinOptions parallel = options.parallel;
-    parallel.join.gallop =
-        options.parallel.join.gallop && plan.edges[edge_total - 1].gallop;
-    parallel.checkpoint = options.checkpoint;
-    STANDOFF_RETURN_IF_ERROR(ParallelLoopLiftedStandoffJoinColumns(
+    JoinOptions join = options.join;
+    join.gallop = options.join.gallop && plan.edges[edge_total - 1].gallop;
+    STANDOFF_RETURN_IF_ERROR(LoopLiftedStandoffJoinColumns(
         last_edge.op, row_ctx, row_iters, last_edge.layer.columns,
-        last_edge.layer.ids, mid_rows, &low, parallel));
+        last_edge.layer.ids, mid_rows, &low, join));
     if (last_edge.post) STANDOFF_RETURN_IF_ERROR(last_edge.post(&low));
     if (stats) {
       ++stats->joins_run;

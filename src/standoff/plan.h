@@ -48,7 +48,6 @@
 
 #include "common/status.h"
 #include "standoff/merge_join.h"
-#include "standoff/parallel_join.h"
 #include "standoff/region_index.h"
 #include "storage/column_stats.h"
 
@@ -196,14 +195,11 @@ class SubPlanMemo {
 };
 
 struct ChainExecOptions {
-  /// Thread-pool decomposition and kernel defaults for every join in
-  /// the chain. An edge gallops only when both `parallel.join.gallop`
-  /// and its plan's choice say so: the caller can turn galloping off,
-  /// the planner can only decline it.
-  ParallelJoinOptions parallel;
-  /// Called between joins AND at merge-pass block boundaries inside
-  /// each join (deadline checks); null means never. Must be safe to
-  /// invoke concurrently from pool workers.
+  /// Kernel knobs and scratch for every join in the chain. An edge
+  /// gallops only when both `join.gallop` and its plan's choice say so:
+  /// the caller can turn galloping off, the planner can only decline it.
+  JoinOptions join;
+  /// Called before every join (deadline checks); null means never.
   const std::function<Status()>* checkpoint = nullptr;
 };
 
@@ -212,8 +208,7 @@ struct ChainExecOptions {
 ChainPlan PlanChain(const ChainSpec& spec, PlanMode mode = PlanMode::kAuto);
 
 /// Executes `spec` under `plan`. Output is sorted by (iter, pre) and
-/// duplicate-free — byte-identical across orders, gallop settings, and
-/// thread/shard configurations.
+/// duplicate-free — byte-identical across orders and gallop settings.
 Status ExecuteChain(const ChainSpec& spec, const ChainPlan& plan,
                     const ChainExecOptions& options,
                     std::vector<IterMatch>* out, ChainStats* stats = nullptr);

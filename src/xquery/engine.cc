@@ -316,24 +316,10 @@ Status Engine::ApplyPredicate(const Expr& pred, Lifted* rows) {
   return Status::OK();
 }
 
-ThreadPool* Engine::ExecPool() {
-  const size_t workers =
-      options_.exec.num_threads <= 1 ? 0 : options_.exec.num_threads - 1;
-  if (workers == 0) return nullptr;
-  if (!pool_ || pool_workers_ != workers) {
-    pool_ = std::make_unique<ThreadPool>(workers);
-    pool_workers_ = workers;
-  }
-  return pool_.get();
-}
-
 so::ChainExecOptions Engine::DeriveChainExec() {
   so::ChainExecOptions exec;
-  exec.parallel.pool = ExecPool();
-  exec.parallel.iter_blocks = options_.exec.num_threads;
-  exec.parallel.candidate_shards = options_.exec.shard_count;
-  exec.parallel.arenas = &arena_pool_;
-  exec.parallel.join = options_.join;
+  exec.join = options_.join;
+  exec.join.arena = &arena_;
   exec.checkpoint = &checkpoint_;
   return exec;
 }
@@ -663,90 +649,6 @@ SubPlanMemoStats BatchEngine::memo_stats() const {
   return total;
 }
 
-std::vector<StatusOr<ChainResult>> BatchEngine::ExecuteChainBatch(
-    const std::vector<ChainQuery>& queries) {
-  const size_t n = queries.size();
-  std::vector<std::vector<size_t>> groups(store_->shard_count());
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<ChainResult> results(n);
-  std::vector<uint8_t> failed(n, 0), done(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    if (queries[i].doc >= store_->document_count()) {
-      statuses[i] = Status::Invalid("no such document: " +
-                                    std::to_string(queries[i].doc));
-      failed[i] = 1;
-      continue;
-    }
-    groups[store_->shard_of(queries[i].doc)].push_back(i);
-  }
-  std::vector<uint32_t> live;
-  for (uint32_t s = 0; s < groups.size(); ++s) {
-    if (!groups[s].empty()) live.push_back(s);
-  }
-  // Engines must exist before the parallel region (creation is lazy and
-  // not thread-safe); each group then touches only its own engine.
-  for (uint32_t s : live) shard_engine(s);
-
-  const auto run_query = [&](uint32_t shard, size_t i) {
-    StatusOr<ChainResult> r = engines_[shard]->EvaluateChain(queries[i]);
-    if (r.ok()) {
-      results[i] = r.MoveValueUnsafe();
-    } else {
-      statuses[i] = r.status();
-      failed[i] = 1;
-    }
-    done[i] = 1;
-  };
-
-  const uint32_t threads = options_.exec.num_threads;
-  if (live.size() > 1 && threads > 1) {
-    // The batch itself is the unit of parallelism: shard groups fan out
-    // across one shared pool, per-query joins run serial.
-    if (!pool_ || pool_->num_workers() != threads - 1) {
-      pool_ = std::make_unique<ThreadPool>(threads - 1);
-    }
-    for (uint32_t s : live) {
-      engines_[s]->mutable_options()->exec.num_threads = 1;
-      engines_[s]->mutable_options()->exec.shard_count = 1;
-    }
-    const Status st =
-        ParallelFor(pool_.get(), 0, live.size(), [&](size_t g) -> Status {
-          for (size_t i : groups[live[g]]) run_query(live[g], i);
-          return Status::OK();
-        });
-    // The serial override is scoped to this batch: shard_engine() hands
-    // callers an engine with the constructor's options.
-    for (uint32_t s : live) {
-      engines_[s]->mutable_options()->exec = options_.exec;
-    }
-    if (!st.ok()) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!done[i] && !failed[i]) {
-          statuses[i] = st;
-          failed[i] = 1;
-        }
-      }
-    }
-  } else {
-    // Single-group (or serial) batches keep intra-query parallelism.
-    for (uint32_t s : live) {
-      engines_[s]->mutable_options()->exec = options_.exec;
-      for (size_t i : groups[s]) run_query(s, i);
-    }
-  }
-
-  std::vector<StatusOr<ChainResult>> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (failed[i]) {
-      out.push_back(statuses[i]);
-    } else {
-      out.push_back(std::move(results[i]));
-    }
-  }
-  return out;
-}
-
 Status Engine::ApplyStandoffStep(const Step& step, Lifted* rows) {
   const so::StandoffOp op = AxisToOp(step.axis);
   // Partition context rows by document (stable: preserves iter order).
@@ -822,13 +724,11 @@ Status Engine::StandoffBasicPerIteration(
   if (!index.ok()) return index.status();
   // One basic merge-join call per loop iteration, each re-scanning the
   // full region index; the name test filters afterwards (no pushdown).
-  // The baseline runs serially whatever ExecOptions::num_threads says.
   so::JoinOptions join = options_.join;
   join.trace = nullptr;  // per-iteration calls have no trace contract
   join.stats = nullptr;
-  so::JoinArena* arena = arena_pool_.Acquire();
-  join.arena = arena;
-  const Status status = RunIterationGroups(
+  join.arena = &arena_;
+  return RunIterationGroups(
       context,
       [&](uint32_t iter, const std::vector<so::AreaAnnotation>& iter_context,
           std::vector<so::IterMatch>* out) -> Status {
@@ -845,8 +745,6 @@ Status Engine::StandoffBasicPerIteration(
         return Status::OK();
       },
       matches);
-  arena_pool_.Release(arena);
-  return status;
 }
 
 Status Engine::StandoffUdfPerIteration(

@@ -26,10 +26,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "standoff/merge_join.h"
-#include "standoff/parallel_join.h"
 #include "standoff/plan.h"
 #include "standoff/region_index.h"
 #include "storage/column_stats.h"
@@ -66,21 +64,10 @@ enum class StandoffMode {
 
 const char* StandoffModeName(StandoffMode mode);
 
-/// Parallel-execution knob of the loop-lifted kernel: it splits its
-/// merge pass into `num_threads` iteration blocks × `shard_count`
-/// candidate shards. The per-iteration modes (basic, both UDF forms)
-/// are the paper's serial baselines and run serially whatever these
-/// say. Results are identical to serial execution for every setting —
-/// the parallel kernel merges deterministically in (iter, pre) order.
-struct ExecOptions {
-  uint32_t num_threads = 1;  // total threads incl. the caller; 1 = serial
-  uint32_t shard_count = 1;  // candidate shards per parallel join
-};
-
 /// The engine layer of the options scheme (DESIGN.md §15): wraps the
 /// kernel-level so::JoinOptions (which itself extends so::KernelOptions)
-/// with execution-shape and planner knobs. There is ONE derivation path
-/// downward — Engine::DeriveChainExec — so a kernel flag set here
+/// with planner knobs. There is ONE derivation path downward —
+/// Engine::DeriveChainExec — so a kernel flag set here
 /// reaches every join without field-by-field copying; `join.gallop =
 /// false` in particular turns galloping off on every chain edge and
 /// FLWOR step, whatever the planner would choose.
@@ -90,7 +77,6 @@ struct EngineOptions {
   /// Per-Evaluate wall-clock budget in seconds; <= 0 means unlimited.
   double timeout_seconds = 0;
   so::JoinOptions join;  // forwarded to the merge-join kernels
-  ExecOptions exec;
   /// Chain-planner order selection: kAuto cost-compares; the forced
   /// modes pin an order for testing. (A FLWOR step is a one-edge chain,
   /// so only the per-edge gallop choice applies to it.)
@@ -232,15 +218,10 @@ class Engine {
                              const so::ChainExecOptions& exec,
                              ChainResult* result);
 
-  /// The worker pool backing ExecOptions::num_threads, created lazily
-  /// and resized when the option changes. Null when execution is
-  /// serial.
-  ThreadPool* ExecPool();
-
   /// The single downward derivation of the options scheme: expands
-  /// EngineOptions into the parallel-join decomposition (pool, blocks,
-  /// shards, arenas, kernel knobs) plus the deadline checkpoint that
-  /// every loop-lifted join — chain edge or FLWOR step — consumes.
+  /// EngineOptions into the kernel knobs, the engine's merge arena and
+  /// the deadline checkpoint that every loop-lifted join — chain edge
+  /// or FLWOR step — consumes.
   so::ChainExecOptions DeriveChainExec();
 
   const storage::StoreView* store_;
@@ -250,18 +231,16 @@ class Engine {
   so::RegionIndexCache index_cache_;
   std::map<std::pair<storage::DocId, std::string>, CandidateSet>
       candidate_cache_;
-  std::unique_ptr<ThreadPool> pool_;
-  size_t pool_workers_ = 0;
-  /// Merge-scratch arenas: serial joins and every parallel (block,
-  /// shard) cell borrow from here, so a warmed engine runs its merge
+  /// Merge scratch for every join the engine runs (one at a time; no
+  /// join runs inside another), so a warmed engine runs its merge
   /// passes allocation-free.
-  so::JoinArenaPool arena_pool_;
+  so::JoinArena arena_;
   std::map<storage::DocId, storage::RegionStats> index_stats_cache_;
   std::unique_ptr<so::SubPlanMemo> subplan_memo_;
   Timer deadline_timer_;
   double deadline_seconds_ = 0;  // active budget for the running Evaluate
-  /// CheckDeadline as the chain executor's between-join and in-join
-  /// checkpoint. Captures `this`, so an Engine is never copied or moved.
+  /// CheckDeadline as the chain executor's between-join checkpoint.
+  /// Captures `this`, so an Engine is never copied or moved.
   const std::function<Status()> checkpoint_ = [this] {
     return CheckDeadline();
   };
@@ -276,14 +255,10 @@ struct SubPlanMemoStats {
   uint64_t entries = 0;
 };
 
-/// Batched chain execution over a sharded store. Queries are grouped by
-/// document shard; each group runs on a persistent per-shard Engine
-/// whose region indexes, candidate sets, and merge arenas carry across
-/// the queries of a batch AND across batches, so the steady state pays
-/// none of the per-query setup N independent engines would. Groups fan
-/// out across one shared worker pool (per-query joins then run serial —
-/// the batch is the unit of parallelism); a batch that lands on a
-/// single shard keeps intra-query threads/shards instead.
+/// One persistent Engine per document shard of a store: a query on
+/// document `doc` runs on `shard_engine(store->shard_of(doc))`, whose
+/// region indexes, candidate sets, merge arena and sub-plan memo carry
+/// across queries. This is the server's per-connection read state.
 class BatchEngine {
  public:
   /// `store` supplies the shard map through the StoreView interface; a
@@ -291,13 +266,8 @@ class BatchEngine {
   /// persistent engine.
   BatchEngine(const storage::StoreView* store, EngineOptions options);
 
-  /// Results in query order. Per-query failures are per-slot statuses —
-  /// one bad query never poisons the batch.
-  std::vector<StatusOr<ChainResult>> ExecuteChainBatch(
-      const std::vector<ChainQuery>& queries);
-
-  /// The per-shard engine (created on first use), for cache inspection
-  /// in tests and for mode/option tweaks.
+  /// The per-shard engine (created on first use); null for a shard the
+  /// store does not have.
   Engine* shard_engine(uint32_t shard);
 
   /// Sums memo counters over the shard engines created so far.
@@ -306,7 +276,6 @@ class BatchEngine {
  private:
   const storage::StoreView* store_;
   EngineOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Engine>> engines_;  // one slot per shard
 };
 

@@ -1,11 +1,11 @@
 // Differential pinning of the multi-predicate chain path: for every
 // document shape (nested scene⊃speech⊃word, empty middle layer,
 // zero-overlap, duplicate region sets, random irregular, XMark-derived)
-// × operator pair × plan mode × threads × shards, EvaluateChain must be
-// byte-identical to a brute-force oracle computed straight off the
-// store — and the batched executor must be byte-identical to the
-// sequential per-query path on every shard layout. A FLWOR cross-check
-// ties the chain API to the engine's existing step-by-step evaluation.
+// × operator pair × plan mode, EvaluateChain must be byte-identical to
+// a brute-force oracle computed straight off the store — and memo-warm
+// shard engines must be byte-identical to fresh sharing-off engines on
+// every shard layout. A FLWOR cross-check ties the chain API to the
+// engine's existing step-by-step evaluation.
 #include <map>
 #include <string>
 #include <vector>
@@ -235,29 +235,20 @@ static void TestChainShapesAgainstOracle() {
       for (so::PlanMode mode :
            {so::PlanMode::kAuto, so::PlanMode::kTopDown,
             so::PlanMode::kBottomUpLast}) {
-        for (uint32_t threads : {1u, 4u}) {
-          for (uint32_t shards : {1u, 3u}) {
-            xquery::Engine engine(&store);
-            engine.mutable_options()->plan_mode = mode;
-            engine.mutable_options()->exec.num_threads = threads;
-            engine.mutable_options()->exec.shard_count = shards;
-            auto result =
-                engine.EvaluateChain(SceneSpeechWord(*doc, op1, op2));
-            CHECK_OK(result);
-            if (!result.ok()) continue;
-            CHECK(result->context_ids == layers[0].ids);
-            if (!(result->matches == oracle)) {
-              std::fprintf(
-                  stderr,
-                  "  %s ops {%s,%s} mode %d nt=%u sc=%u: %zu vs oracle "
-                  "%zu (plan: %s)\n",
-                  doc_name, StandoffOpName(op1), StandoffOpName(op2),
-                  static_cast<int>(mode), threads, shards,
-                  result->matches.size(), oracle.size(),
-                  result->plan.Describe().c_str());
-              CHECK(false);
-            }
-          }
+        xquery::Engine engine(&store);
+        engine.mutable_options()->plan_mode = mode;
+        auto result = engine.EvaluateChain(SceneSpeechWord(*doc, op1, op2));
+        CHECK_OK(result);
+        if (!result.ok()) continue;
+        CHECK(result->context_ids == layers[0].ids);
+        if (!(result->matches == oracle)) {
+          std::fprintf(stderr,
+                       "  %s ops {%s,%s} mode %d: %zu vs oracle %zu "
+                       "(plan: %s)\n",
+                       doc_name, StandoffOpName(op1), StandoffOpName(op2),
+                       static_cast<int>(mode), result->matches.size(),
+                       oracle.size(), result->plan.Describe().c_str());
+          CHECK(false);
         }
       }
     }
@@ -291,8 +282,6 @@ static void TestXmarkDerivedChain() {
                             so::PlanMode::kBottomUpLast}) {
     xquery::Engine engine(&store);
     engine.mutable_options()->plan_mode = mode;
-    engine.mutable_options()->exec.num_threads = 4;
-    engine.mutable_options()->exec.shard_count = 3;
     auto result = engine.EvaluateChain(query);
     CHECK_OK(result);
     if (result.ok()) CHECK(result->matches == oracle);
@@ -354,7 +343,6 @@ static void TestAnyNameLayers() {
            {so::PlanMode::kAuto, so::PlanMode::kTopDown}) {
         xquery::Engine engine(&store);
         engine.mutable_options()->plan_mode = mode;
-        engine.mutable_options()->exec.num_threads = 4;
         xquery::ChainQuery query = SceneSpeechWord(*doc, op1, op2);
         query.context_name.clear();
         query.context_any = true;
@@ -367,56 +355,6 @@ static void TestAnyNameLayers() {
           CHECK(result->matches == oracle);
         }
       }
-    }
-  }
-}
-
-static void TestBatchedIdenticalToSequential() {
-  // A mixed corpus over sharded stores: the batched executor must be
-  // byte-identical to one-query-at-a-time engines for every shard
-  // layout and thread count.
-  const std::string xmls[] = {NestedPlay(5), EmptyMiddle(), ZeroOverlap(),
-                              DuplicateSets(), RandomSoup(7), RandomSoup(8)};
-  for (uint32_t store_shards : {1u, 3u}) {
-    storage::ShardedStore store(store_shards);
-    std::vector<storage::DocId> docs;
-    for (const std::string& xml : xmls) {
-      auto doc = store.AddDocumentText("d" + std::to_string(docs.size()), xml);
-      CHECK_OK(doc);
-      docs.push_back(*doc);
-    }
-    std::vector<xquery::ChainQuery> queries;
-    for (storage::DocId doc : docs) {
-      queries.push_back(SceneSpeechWord(doc, StandoffOp::kSelectNarrow,
-                                        StandoffOp::kSelectNarrow));
-      queries.push_back(SceneSpeechWord(doc, StandoffOp::kSelectWide,
-                                        StandoffOp::kRejectNarrow));
-    }
-    // One deliberately bad query: its slot fails, the rest succeed.
-    xquery::ChainQuery bad;
-    bad.doc = 999;
-    bad.steps.push_back({xquery::Axis::kSelectNarrow, false, "word"});
-    queries.push_back(bad);
-
-    for (uint32_t threads : {1u, 4u}) {
-      xquery::EngineOptions options;
-      options.exec.num_threads = threads;
-      options.exec.shard_count = store_shards;
-      xquery::BatchEngine batch(&store, options);
-      const auto batched = batch.ExecuteChainBatch(queries);
-      CHECK_EQ(batched.size(), queries.size());
-      for (size_t i = 0; i + 1 < queries.size(); ++i) {
-        xquery::Engine single(&store.store());
-        *single.mutable_options() = options;
-        auto expected = single.EvaluateChain(queries[i]);
-        CHECK_OK(expected);
-        CHECK_OK(batched[i]);
-        if (expected.ok() && batched[i].ok()) {
-          CHECK(batched[i]->matches == expected->matches);
-          CHECK(batched[i]->context_ids == expected->context_ids);
-        }
-      }
-      CHECK(!batched.back().ok());
     }
   }
 }
@@ -457,9 +395,8 @@ std::vector<xquery::ChainQuery> OverlappingMix(storage::DocId doc) {
 static void TestSharedChainsIdenticalToUnshared() {
   // Engine-level CSE: a warm engine answering an overlapping mix with
   // sub-plan sharing ON must be byte-identical to a sharing-OFF engine,
-  // for every plan mode × threads × shards — and the memo must actually
-  // be hit (this is a differential test of the fast path, not of a
-  // disabled one).
+  // for every plan mode — and the memo must actually be hit (this is a
+  // differential test of the fast path, not of a disabled one).
   for (const std::string& xml :
        {NestedPlay(5), DuplicateSets(), RandomSoup(21), RandomSoup(22)}) {
     storage::DocumentStore store;
@@ -468,39 +405,35 @@ static void TestSharedChainsIdenticalToUnshared() {
     const std::vector<xquery::ChainQuery> queries = OverlappingMix(*doc);
     for (so::PlanMode mode : {so::PlanMode::kAuto, so::PlanMode::kTopDown,
                               so::PlanMode::kBottomUpLast}) {
-      for (uint32_t threads : {1u, 4u}) {
-        for (uint32_t shards : {1u, 3u}) {
-          xquery::Engine shared(&store);
-          shared.mutable_options()->plan_mode = mode;
-          shared.mutable_options()->exec.num_threads = threads;
-          shared.mutable_options()->exec.shard_count = shards;
-          shared.mutable_options()->share_subplans = true;
-          size_t hits = 0;
-          for (const xquery::ChainQuery& query : queries) {
-            xquery::Engine unshared(&store);
-            *unshared.mutable_options() = *shared.mutable_options();
-            unshared.mutable_options()->share_subplans = false;
-            auto got = shared.EvaluateChain(query);
-            auto want = unshared.EvaluateChain(query);
-            CHECK_OK(got);
-            CHECK_OK(want);
-            if (!got.ok() || !want.ok()) continue;
-            CHECK(got->matches == want->matches);
-            CHECK(got->context_ids == want->context_ids);
-            hits += got->stats.memo_hits;
-          }
-          CHECK(hits > 0);
-        }
+      xquery::Engine shared(&store);
+      shared.mutable_options()->plan_mode = mode;
+      shared.mutable_options()->share_subplans = true;
+      size_t hits = 0;
+      for (const xquery::ChainQuery& query : queries) {
+        xquery::Engine unshared(&store);
+        *unshared.mutable_options() = *shared.mutable_options();
+        unshared.mutable_options()->share_subplans = false;
+        auto got = shared.EvaluateChain(query);
+        auto want = unshared.EvaluateChain(query);
+        CHECK_OK(got);
+        CHECK_OK(want);
+        if (!got.ok() || !want.ok()) continue;
+        CHECK(got->matches == want->matches);
+        CHECK(got->context_ids == want->context_ids);
+        hits += got->stats.memo_hits;
       }
+      CHECK(hits > 0);
     }
   }
 }
 
 static void TestOverlappingBatchesSharedVsIndependent() {
-  // Batched-with-sharing vs sequential independent evaluation: the
-  // whole overlapping mix through BatchEngine (sharing on, warm across
-  // two consecutive batches) must be byte-identical to per-query fresh
-  // engines with sharing off, across plan modes × threads × shards.
+  // The server's dispatch with sharing vs sequential independent
+  // evaluation: the whole overlapping mix, in query order, each query
+  // on shard_engine(shard_of(doc)) of one BatchEngine (sharing on, warm
+  // across two consecutive rounds), must be byte-identical to per-query
+  // fresh engines with sharing off, across plan modes and shard
+  // layouts.
   const std::string xmls[] = {NestedPlay(5), DuplicateSets(), RandomSoup(31),
                               ZeroOverlap(), RandomSoup(32), EmptyMiddle()};
   for (uint32_t store_shards : {1u, 3u}) {
@@ -519,32 +452,29 @@ static void TestOverlappingBatchesSharedVsIndependent() {
     }
     for (so::PlanMode mode : {so::PlanMode::kAuto, so::PlanMode::kTopDown,
                               so::PlanMode::kBottomUpLast}) {
-      for (uint32_t threads : {1u, 4u}) {
-        xquery::EngineOptions options;
-        options.plan_mode = mode;
-        options.exec.num_threads = threads;
-        options.exec.shard_count = store_shards;
-        options.share_subplans = true;
-        xquery::BatchEngine batch(&store, options);
-        for (int round = 0; round < 2; ++round) {  // round 2 is memo-warm
-          const auto batched = batch.ExecuteChainBatch(queries);
-          CHECK_EQ(batched.size(), queries.size());
-          for (size_t i = 0; i < queries.size(); ++i) {
-            xquery::Engine single(&store.store());
-            *single.mutable_options() = options;
-            single.mutable_options()->share_subplans = false;
-            auto expected = single.EvaluateChain(queries[i]);
-            CHECK_OK(expected);
-            CHECK_OK(batched[i]);
-            if (expected.ok() && batched[i].ok()) {
-              CHECK(batched[i]->matches == expected->matches);
-              CHECK(batched[i]->context_ids == expected->context_ids);
-            }
+      xquery::EngineOptions options;
+      options.plan_mode = mode;
+      options.share_subplans = true;
+      xquery::BatchEngine batch(&store, options);
+      for (int round = 0; round < 2; ++round) {  // round 2 is memo-warm
+        for (const xquery::ChainQuery& query : queries) {
+          auto got =
+              batch.shard_engine(store.shard_of(query.doc))->EvaluateChain(
+                  query);
+          xquery::Engine single(&store.store());
+          *single.mutable_options() = options;
+          single.mutable_options()->share_subplans = false;
+          auto expected = single.EvaluateChain(query);
+          CHECK_OK(expected);
+          CHECK_OK(got);
+          if (expected.ok() && got.ok()) {
+            CHECK(got->matches == expected->matches);
+            CHECK(got->context_ids == expected->context_ids);
           }
         }
-        const xquery::SubPlanMemoStats memo = batch.memo_stats();
-        CHECK(memo.hits > 0);  // the mix's overlap actually shared work
       }
+      const xquery::SubPlanMemoStats memo = batch.memo_stats();
+      CHECK(memo.hits > 0);  // the mix's overlap actually shared work
     }
   }
 }
@@ -590,7 +520,6 @@ int main() {
   RUN_TEST(TestXmarkDerivedChain);
   RUN_TEST(TestChainMatchesFlworPath);
   RUN_TEST(TestAnyNameLayers);
-  RUN_TEST(TestBatchedIdenticalToSequential);
   RUN_TEST(TestSharedChainsIdenticalToUnshared);
   RUN_TEST(TestOverlappingBatchesSharedVsIndependent);
   RUN_TEST(TestMemoPoisoningRegression);

@@ -10,8 +10,8 @@
 //   * Engine level: EvaluateChain over the MutableStore's frozen
 //     DeltaStoreView vs an oracle store whose XML carries the final
 //     region state, across kernels (scalar / auto SIMD) × plan modes ×
-//     {1,4} threads × {1,3} shards. The corpus keeps one region per
-//     element so the oracle XML has identical pre ids.
+//     {1,3}-shard stores. The corpus keeps one region per element so
+//     the oracle XML has identical pre ids.
 //   * FLWOR vs chain: a FLWOR StandOff step (loop-lifted and basic
 //     modes) and the equivalent one-edge EvaluateChain over a delta
 //     view, with second-region inserts on annotated ids.
@@ -265,13 +265,10 @@ xquery::ChainQuery SceneSpeechWord(storage::DocId doc) {
 StatusOr<xquery::ChainResult> RunGridPoint(const storage::StoreView* store,
                                            storage::DocId doc,
                                            simd::Level level,
-                                           so::PlanMode mode,
-                                           uint32_t threads, uint32_t shards) {
+                                           so::PlanMode mode) {
   xquery::Engine engine(store);
   engine.mutable_options()->join.simd = level;
   engine.mutable_options()->plan_mode = mode;
-  engine.mutable_options()->exec.num_threads = threads;
-  engine.mutable_options()->exec.shard_count = shards;
   return engine.EvaluateChain(SceneSpeechWord(doc));
 }
 
@@ -360,25 +357,21 @@ static void TestDeltaViewMatchesRebuiltAcrossGrid() {
       for (so::PlanMode mode :
            {so::PlanMode::kAuto, so::PlanMode::kTopDown,
             so::PlanMode::kBottomUpLast}) {
-        for (uint32_t threads : {1u, 4u}) {
-          for (storage::DocId doc : {storage::DocId{0}, storage::DocId{1}}) {
-            auto got =
-                RunGridPoint(view.get(), doc, level, mode, threads, shards);
-            auto want =
-                RunGridPoint(&oracle, doc, level, mode, threads, shards);
-            CHECK_OK(got);
-            CHECK_OK(want);
-            if (!got.ok() || !want.ok()) continue;
-            CHECK(got->context_ids == want->context_ids);
-            if (!(got->matches == want->matches)) {
-              std::fprintf(stderr,
-                           "  doc %u level %d mode %d nt=%u sc=%u: %zu vs "
-                           "%zu matches\n",
-                           doc, static_cast<int>(level),
-                           static_cast<int>(mode), threads, shards,
-                           got->matches.size(), want->matches.size());
-              CHECK(false);
-            }
+        for (storage::DocId doc : {storage::DocId{0}, storage::DocId{1}}) {
+          auto got = RunGridPoint(view.get(), doc, level, mode);
+          auto want = RunGridPoint(&oracle, doc, level, mode);
+          CHECK_OK(got);
+          CHECK_OK(want);
+          if (!got.ok() || !want.ok()) continue;
+          CHECK(got->context_ids == want->context_ids);
+          if (!(got->matches == want->matches)) {
+            std::fprintf(stderr,
+                         "  store shards %u doc %u level %d mode %d: %zu vs "
+                         "%zu matches\n",
+                         shards, doc, static_cast<int>(level),
+                         static_cast<int>(mode), got->matches.size(),
+                         want->matches.size());
+            CHECK(false);
           }
         }
       }
@@ -598,17 +591,15 @@ static void TestCompactionMidBatch() {
   // Full differential: compacted base + rebased delta == rebuilt final.
   storage::ShardedStore oracle(1);
   CHECK_OK(oracle.AddDocumentText("d0", CorpusXml(slots, true)));
-  for (uint32_t threads : {1u, 4u}) {
-    auto got = RunGridPoint(view.get(), 0, simd::Level::kAuto,
-                            so::PlanMode::kAuto, threads, 1);
-    auto want = RunGridPoint(&oracle, 0, simd::Level::kAuto,
-                             so::PlanMode::kAuto, threads, 1);
-    CHECK_OK(got);
-    CHECK_OK(want);
-    if (got.ok() && want.ok()) {
-      CHECK(got->context_ids == want->context_ids);
-      CHECK(got->matches == want->matches);
-    }
+  auto got =
+      RunGridPoint(view.get(), 0, simd::Level::kAuto, so::PlanMode::kAuto);
+  auto want =
+      RunGridPoint(&oracle, 0, simd::Level::kAuto, so::PlanMode::kAuto);
+  CHECK_OK(got);
+  CHECK_OK(want);
+  if (got.ok() && want.ok()) {
+    CHECK(got->context_ids == want->context_ids);
+    CHECK(got->matches == want->matches);
   }
 
   // A second compaction with NO pending ops at the frozen point must
@@ -624,9 +615,9 @@ static void TestCompactionMidBatch() {
     CHECK_EQ(final_view->live_insert_rows(), size_t{0});
     CHECK_EQ(final_view->live_tombstones(), size_t{0});
     auto got = RunGridPoint(final_view.get(), 0, simd::Level::kAuto,
-                            so::PlanMode::kAuto, 1, 1);
-    auto want = RunGridPoint(&oracle, 0, simd::Level::kAuto,
-                             so::PlanMode::kAuto, 1, 1);
+                            so::PlanMode::kAuto);
+    auto want =
+        RunGridPoint(&oracle, 0, simd::Level::kAuto, so::PlanMode::kAuto);
     CHECK_OK(got);
     CHECK_OK(want);
     if (got.ok() && want.ok()) CHECK(got->matches == want->matches);

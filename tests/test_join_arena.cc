@@ -3,8 +3,6 @@
 // heap allocations per call — select and reject, galloping on and off,
 // sorted-emission and radix-canonicalized workloads alike. Verified by
 // counting global operator new/delete invocations around the calls.
-//
-// Also covers the JoinArenaPool free-list reuse contract.
 #include <cstdlib>
 #include <new>
 
@@ -160,21 +158,6 @@ static void TestColdCallsDoAllocate() {
   CHECK(allocs > 0);
 }
 
-static void TestArenaPoolReuse() {
-  so::JoinArenaPool pool;
-  so::JoinArena* a = pool.Acquire();
-  so::JoinArena* b = pool.Acquire();
-  CHECK(a != b);
-  CHECK_EQ(pool.created(), size_t{2});
-  pool.Release(a);
-  so::JoinArena* c = pool.Acquire();
-  CHECK(c == a);  // free list reuses before creating
-  CHECK_EQ(pool.created(), size_t{2});
-  pool.Release(b);
-  pool.Release(c);
-  CHECK_EQ(pool.created(), size_t{2});
-}
-
 static void TestResultsIdenticalWithAndWithoutArena() {
   const ArenaWorkload w = MakeArenaWorkload(true);
   for (so::StandoffOp op : {so::StandoffOp::kSelectNarrow,
@@ -197,7 +180,6 @@ static void TestResultsIdenticalWithAndWithoutArena() {
 int main() {
   RUN_TEST(TestWarmArenaAllocatesNothing);
   RUN_TEST(TestColdCallsDoAllocate);
-  RUN_TEST(TestArenaPoolReuse);
   RUN_TEST(TestResultsIdenticalWithAndWithoutArena);
   TEST_MAIN();
 }

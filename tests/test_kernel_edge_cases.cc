@@ -1,14 +1,10 @@
 // Regression tests for the empty-input edge cases on EVERY kernel:
 // an empty candidate list, an empty region index, or an empty context
 // must return OK with zero rows (for selects; rejects additionally
-// yield zero rows whenever the universe is empty) on the naive, basic,
-// loop-lifted, and parallel paths alike — previously only the
-// loop-lifted path was exercised.
-#include <memory>
-
-#include "common/thread_pool.h"
+// yield zero rows whenever the universe is empty) on the naive, basic
+// and loop-lifted paths alike — previously only the loop-lifted path
+// was exercised.
 #include "standoff/merge_join.h"
-#include "standoff/parallel_join.h"
 #include "tests/harness.h"
 
 using namespace standoff;
@@ -85,66 +81,9 @@ static void TestLoopLiftedEmptyInputs() {
   }
 }
 
-static void TestParallelEmptyInputs() {
-  so::RegionIndex empty_index;
-  ThreadPool pool(3);
-  for (so::StandoffOp op :
-       {so::StandoffOp::kSelectNarrow, so::StandoffOp::kSelectWide,
-        so::StandoffOp::kRejectNarrow, so::StandoffOp::kRejectWide}) {
-    so::ParallelJoinOptions options;
-    options.pool = &pool;
-    options.iter_blocks = 4;
-    options.candidate_shards = 7;
-    std::vector<IterMatch> out = {{3, 3}};
-    CHECK_OK(so::ParallelLoopLiftedStandoffJoinColumns(
-        op, kSomeIterContext, kSomeAnnIters, empty_index.columns(),
-        empty_index.annotated_ids(), 2, &out, options));
-    CHECK(out.empty());
-    out = {{3, 3}};
-    CHECK_OK(so::ParallelLoopLiftedStandoffJoinColumns(
-        op, {}, {}, empty_index.columns(), empty_index.annotated_ids(), 4, &out,
-        options));
-    CHECK(out.empty());
-  }
-}
-
-static void TestInvalidInputsStillRejected() {
-  // Parallel validation must mirror the serial kernel: bad context rows
-  // and globally unsorted candidate sequences are errors, including a
-  // sort violation sitting exactly on a shard boundary.
-  so::RegionIndex index = so::RegionIndex::FromEntries(
-      {{10, 20, 2}, {30, 40, 3}, {50, 60, 4}, {70, 80, 5}});
-  ThreadPool pool(3);
-  so::ParallelJoinOptions options;
-  options.pool = &pool;
-  options.iter_blocks = 2;
-  options.candidate_shards = 2;
-  std::vector<IterMatch> out;
-
-  // Context row ends before it starts.
-  Status st = so::ParallelLoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kSelectNarrow, {{0, 50, 10, 0}}, {0}, index.columns(),
-      index.annotated_ids(), 1, &out, options);
-  CHECK(!st.ok());
-
-  // Unsorted external candidate sequence (violation on the chunk
-  // boundary: each half is sorted, the whole is not).
-  so::RegionColumnsData unsorted;
-  for (const so::RegionEntry& e : std::vector<so::RegionEntry>{
-           {30, 40, 3}, {50, 60, 4}, {10, 20, 2}, {70, 80, 5}}) {
-    unsorted.Append(e.start, e.end, e.id);
-  }
-  st = so::ParallelLoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kSelectNarrow, kSomeIterContext, kSomeAnnIters,
-      unsorted.View(), index.annotated_ids(), 2, &out, options);
-  CHECK(!st.ok());
-}
-
 int main() {
   RUN_TEST(TestNaiveEmptyInputs);
   RUN_TEST(TestBasicEmptyInputs);
   RUN_TEST(TestLoopLiftedEmptyInputs);
-  RUN_TEST(TestParallelEmptyInputs);
-  RUN_TEST(TestInvalidInputsStillRejected);
   TEST_MAIN();
 }

@@ -177,6 +177,11 @@ static void TestValidation() {
       so::StandoffOp::kSelectNarrow, Fig4Context(), wrong, index.columns(),
       index.annotated_ids(), 2, &out)
              .ok());
+  // A context row that ends before it starts.
+  CHECK(!so::LoopLiftedStandoffJoinColumns(
+             so::StandoffOp::kSelectNarrow, {{0, 50, 10, 0}}, {0},
+             index.columns(), index.annotated_ids(), 1, &out)
+             .ok());
   // Unsorted external candidates.
   so::RegionColumnsData unsorted;
   unsorted.Append(50, 60, 3);

@@ -1,15 +1,10 @@
 // ShardedStore invariants: round-robin document placement partitions
-// the store, the shared name table keeps NameIds comparable across
-// shards, and the parallel per-shard region-index build produces
-// exactly the indexes a serial per-document build does.
+// the store, and the shared name table keeps NameIds comparable across
+// shards.
 #include <string>
 
-#include "common/thread_pool.h"
-#include "standoff/parallel_join.h"
-#include "standoff/region_index.h"
 #include "storage/sharded_store.h"
 #include "tests/harness.h"
-#include "tests/oracle.h"
 
 using namespace standoff;
 
@@ -61,45 +56,8 @@ static void TestSharedNameTable() {
   CHECK_EQ(store.store().table(0).name(1), store.store().table(1).name(1));
 }
 
-static void TestParallelIndexBuildMatchesSerial() {
-  storage::ShardedStore store(7);
-  constexpr int kDocs = 13;
-  for (int i = 0; i < kDocs; ++i) {
-    CHECK_OK(store.AddDocumentText("doc" + std::to_string(i), DocXml(i)));
-  }
-  const so::StandoffConfig config;
-  ThreadPool pool(3);
-  auto sharded = so::ShardedRegionIndexes::Build(store, config, &pool);
-  CHECK_OK(sharded);
-  CHECK_EQ(sharded->document_count(), static_cast<size_t>(kDocs));
-
-  for (storage::DocId doc = 0; doc < static_cast<storage::DocId>(kDocs);
-       ++doc) {
-    auto serial = so::RegionIndex::Build(
-        store.store().table(doc),
-        so::Resolve(config, store.store().names()));
-    CHECK_OK(serial);
-    CHECK(test::Rows(sharded->index(doc)) == test::Rows(*serial));
-    CHECK(sharded->index(doc).annotated_ids() == serial->annotated_ids());
-    CHECK(sharded->index(doc).size() > 0);
-  }
-}
-
-static void TestBuildErrorPropagates() {
-  storage::ShardedStore store(2);
-  CHECK_OK(store.AddDocumentText("ok.xml", DocXml(1)));
-  CHECK_OK(store.AddDocumentText(
-      "bad.xml", "<root><a start=\"oops\" end=\"nope\"/></root>"));
-  ThreadPool pool(2);
-  auto sharded =
-      so::ShardedRegionIndexes::Build(store, so::StandoffConfig{}, &pool);
-  CHECK(!sharded.ok());
-}
-
 int main() {
   RUN_TEST(TestRoundRobinPlacement);
   RUN_TEST(TestSharedNameTable);
-  RUN_TEST(TestParallelIndexBuildMatchesSerial);
-  RUN_TEST(TestBuildErrorPropagates);
   TEST_MAIN();
 }

@@ -1,8 +1,8 @@
 // Snapshot round-trip and rejection tests: a store serialized with
 // SaveSnapshot and reopened with Snapshot::Open must be byte-identical
 // to the in-memory original — node tables, names, element indexes,
-// blobs, shard layout, and every query result across kernels, modes,
-// threads, shards, and plan modes. Malformed files (truncation, bad
+// blobs, shard layout, and every query result across kernels, modes
+// and plan modes. Malformed files (truncation, bad
 // magic, wrong version, checksum corruption) must be rejected with a
 // Status, never UB.
 #include <unistd.h>
@@ -216,36 +216,29 @@ static void TestQueryDifferentialAgainstSnapshot() {
     return xquery::Axis::kSelectNarrow;
   };
 
-  // Chain queries: every (doc, op pair, plan mode, threads, shards)
-  // cell must agree between the in-memory and snapshot-backed store.
+  // Chain queries: every (doc, op pair, plan mode) cell must agree
+  // between the in-memory and snapshot-backed store.
   for (storage::DocId doc : {storage::DocId{0}, storage::DocId{1},
                              storage::DocId{3}}) {
     for (const auto& [op1, op2] : kOpPairs) {
       for (so::PlanMode mode : kModes) {
-        for (uint32_t threads : {1u, 4u}) {
-          for (uint32_t shards : {1u, 3u}) {
-            ChainQuery query;
-            query.doc = doc;
-            query.context_name = "scene";
-            query.steps.push_back(ChainStep{axis(op1), false, "speech"});
-            query.steps.push_back(ChainStep{axis(op2), false, "word"});
+        ChainQuery query;
+        query.doc = doc;
+        query.context_name = "scene";
+        query.steps.push_back(ChainStep{axis(op1), false, "speech"});
+        query.steps.push_back(ChainStep{axis(op2), false, "word"});
 
-            xquery::Engine mem_engine(&store.store());
-            xquery::Engine snap_engine(&(*snapshot)->store());
-            for (xquery::Engine* e : {&mem_engine, &snap_engine}) {
-              e->mutable_options()->plan_mode = mode;
-              e->mutable_options()->exec.num_threads = threads;
-              e->mutable_options()->exec.shard_count = shards;
-            }
-            auto mem = mem_engine.EvaluateChain(query);
-            auto snap = snap_engine.EvaluateChain(query);
-            CHECK_OK(mem);
-            CHECK_OK(snap);
-            if (!mem.ok() || !snap.ok()) continue;
-            CHECK(mem->matches == snap->matches);
-            CHECK(mem->context_ids == snap->context_ids);
-          }
-        }
+        xquery::Engine mem_engine(&store.store());
+        xquery::Engine snap_engine(&(*snapshot)->store());
+        mem_engine.mutable_options()->plan_mode = mode;
+        snap_engine.mutable_options()->plan_mode = mode;
+        auto mem = mem_engine.EvaluateChain(query);
+        auto snap = snap_engine.EvaluateChain(query);
+        CHECK_OK(mem);
+        CHECK_OK(snap);
+        if (!mem.ok() || !snap.ok()) continue;
+        CHECK(mem->matches == snap->matches);
+        CHECK(mem->context_ids == snap->context_ids);
       }
     }
   }
@@ -287,7 +280,8 @@ static void TestQueryDifferentialAgainstSnapshot() {
   }
   std::remove(xmark_path.c_str());
 
-  // Batched execution over the snapshot-backed ShardedStore.
+  // The server's per-shard dispatch over the snapshot-backed
+  // ShardedStore: each query on shard_engine(shard_of(doc)).
   std::vector<ChainQuery> batch;
   for (storage::DocId doc = 0; doc < store.document_count(); ++doc) {
     ChainQuery query;
@@ -299,18 +293,20 @@ static void TestQueryDifferentialAgainstSnapshot() {
         ChainStep{xquery::Axis::kSelectNarrow, false, "word"});
     batch.push_back(query);
   }
-  xquery::EngineOptions options;
-  xquery::BatchEngine mem_batch(&store, options);
-  xquery::BatchEngine snap_batch(&(*snapshot)->sharded_store(), options);
-  auto mem_results = mem_batch.ExecuteChainBatch(batch);
-  auto snap_results = snap_batch.ExecuteChainBatch(batch);
-  CHECK_EQ(mem_results.size(), snap_results.size());
-  for (size_t i = 0; i < mem_results.size(); ++i) {
-    CHECK_OK(mem_results[i]);
-    CHECK_OK(snap_results[i]);
-    if (!mem_results[i].ok() || !snap_results[i].ok()) continue;
-    CHECK(mem_results[i]->matches == snap_results[i]->matches);
-    CHECK(mem_results[i]->context_ids == snap_results[i]->context_ids);
+  const storage::ShardedStore& snap_store = (*snapshot)->sharded_store();
+  CHECK_EQ(snap_store.shard_count(), store.shard_count());
+  xquery::BatchEngine mem_batch(&store, xquery::EngineOptions{});
+  xquery::BatchEngine snap_batch(&snap_store, xquery::EngineOptions{});
+  for (const ChainQuery& query : batch) {
+    auto mem =
+        mem_batch.shard_engine(store.shard_of(query.doc))->EvaluateChain(query);
+    auto snap = snap_batch.shard_engine(snap_store.shard_of(query.doc))
+                    ->EvaluateChain(query);
+    CHECK_OK(mem);
+    CHECK_OK(snap);
+    if (!mem.ok() || !snap.ok()) continue;
+    CHECK(mem->matches == snap->matches);
+    CHECK(mem->context_ids == snap->context_ids);
   }
   std::remove(path.c_str());
 }
