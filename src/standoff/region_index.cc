@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/string_util.h"
-#include "standoff/simd_kernels.h"
 #include "storage/columns.h"
 #include "storage/delta.h"
 
@@ -165,6 +165,18 @@ void RegionColumnsData::GatherFrom(const RegionColumnsData& src,
       start_sorted_ && src.start_sorted_ && start_.size() == rows.size();
 }
 
+void RegionColumnsData::AppendRows(const RegionColumns& src, size_t lo,
+                                   size_t hi) {
+  if (lo == hi) return;
+  if (!src.start_sorted ||
+      (!start_.empty() && src.start[lo] < start_.back())) {
+    start_sorted_ = false;
+  }
+  start_.append(src.start + lo, hi - lo);
+  end_.append(src.end + lo, hi - lo);
+  id_.append(src.id + lo, hi - lo);
+}
+
 void RegionColumnsData::BorrowFrom(const RegionColumns& view) {
   start_.Borrow(view.start, view.size);
   end_.Borrow(view.end, view.size);
@@ -224,14 +236,6 @@ RegionIndex RegionIndex::FromEntries(std::vector<RegionEntry> entries) {
   return index;
 }
 
-RegionIndex RegionIndex::FromSortedColumns(RegionColumnsData cols) {
-  RegionIndex index;
-  index.cols_ = std::move(cols);
-  index.cols_.SortCanonical();  // verifies; no-op permutation when sorted
-  index.BuildIdIndex();
-  return index;
-}
-
 RegionColumns RegionIndex::columns() const { return cols_.View(); }
 
 StatusOr<RegionIndex> RegionIndex::Build(const storage::NodeTable& table,
@@ -265,39 +269,49 @@ StatusOr<RegionIndex> RegionIndex::Build(const storage::NodeTable& table,
   return FromEntries(std::move(entries));
 }
 
-RegionColumnsData RegionIndex::IntersectColumns(
-    storage::Span<storage::Pre> ids) const {
-  const size_t n = cols_.size();
-  if (ids.empty() || n == 0) return RegionColumnsData();
-  // Selected row positions, ascending = start order either way.
-  std::vector<uint32_t> selected;
-  selected.reserve(std::min(ids.size(), n));
-  // Dense pushdown (|ids| within a constant factor of the index): one
-  // linear merge of `ids` against the id-sorted row permutation beats
-  // n binary searches. Sparse: per-entry binary search, output-bounded
-  // by construction.
-  if (ids.size() * 8 >= n) {
-    size_t k = 0;
-    for (uint32_t row : rows_by_id_) {
-      const storage::Pre id = cols_.id()[row];
-      while (k < ids.size() && ids[k] < id) ++k;
-      if (k == ids.size()) break;
-      if (ids[k] == id) selected.push_back(row);
-    }
-    std::sort(selected.begin(), selected.end());
-  } else {
-    // Per-entry membership probe over the sorted id universe, finished
-    // by the dispatch-selected branch-free count-less tail (identical
-    // result to std::binary_search).
-    const simdk::KernelOps& ops =
-        simdk::Ops(simd::Resolve(simd::Level::kAuto));
-    for (uint32_t row = 0; row < n; ++row) {
-      const storage::Pre id = cols_.id()[row];
-      const size_t pos =
-          simdk::LowerBoundU32(ops, ids.begin(), 0, ids.size(), id);
-      if (pos < ids.size() && ids[pos] == id) selected.push_back(row);
+namespace {
+
+/// First index in [lo, n) with a[i] >= v over sorted `a`: gallops from
+/// lo, so a forward walk of m sorted probes through n values costs
+/// O(m log(n/m)) instead of m full binary searches.
+size_t GallopLowerBound(const storage::Pre* a, size_t lo, size_t n,
+                        storage::Pre v) {
+  size_t step = 1;
+  size_t hi = lo;
+  while (hi < n && a[hi] < v) {
+    lo = hi + 1;
+    hi += step;
+    step *= 2;
+  }
+  return static_cast<size_t>(
+      std::lower_bound(a + lo, a + std::min(hi, n), v) - a);
+}
+
+}  // namespace
+
+void RegionIndex::AppendRowsOfIds(storage::Span<storage::Pre> ids,
+                                  std::vector<uint32_t>* rows) const {
+  const storage::Pre* ann = annotated_ids_.begin();
+  const size_t n_ann = annotated_ids_.size();
+  const uint32_t* rows_end = rows_by_id_.end();
+  size_t rank = 0;
+  for (size_t k = 0; k < ids.size() && rank < n_ann; ++k) {
+    const storage::Pre id = ids[k];
+    if (k > 0 && id == ids[k - 1]) continue;  // a repeat selects nothing new
+    rank = GallopLowerBound(ann, rank, n_ann, id);
+    if (rank == n_ann || ann[rank] != id) continue;
+    for (const uint32_t* it = FirstRowOfRank(rank);
+         it != rows_end && cols_.id()[*it] == id; ++it) {
+      rows->push_back(*it);
     }
   }
+}
+
+RegionColumnsData RegionIndex::IntersectColumns(
+    storage::Span<storage::Pre> ids) const {
+  std::vector<uint32_t> selected;
+  AppendRowsOfIds(ids, &selected);
+  std::sort(selected.begin(), selected.end());  // back into start order
   RegionColumnsData result;
   result.GatherFrom(cols_, selected);
   return result;
@@ -307,38 +321,104 @@ RegionIndex MergeBaseDelta(const RegionIndex& base,
                            const storage::DeltaRun& delta) {
   const RegionColumns b = base.columns();
   const std::vector<storage::DeltaInsert>& ins = delta.inserts;
-  RegionColumnsData out;
-  out.Reserve(b.size + ins.size());
-  // Two-way union over the (start, end, id)-sorted base rows — minus
-  // tombstoned ids — and the equally-sorted inserts. Ties break toward
-  // the base so equal rows come out in a deterministic order (equal
-  // triples are indistinguishable anyway).
-  size_t i = 0, j = 0;
-  const bool any_tombstones = !delta.tombstones.empty();
-  auto base_dead = [&](size_t row) {
-    return any_tombstones && delta.IsTombstoned(b.id[row]);
-  };
-  while (i < b.size && j < ins.size()) {
-    const bool take_base =
-        b.start[i] != ins[j].start
-            ? b.start[i] < ins[j].start
-            : (b.end[i] != ins[j].end ? b.end[i] < ins[j].end
-                                      : b.id[i] <= ins[j].id);
-    if (take_base) {
-      if (!base_dead(i)) out.Append(b.start[i], b.end[i], b.id[i]);
-      ++i;
-    } else {
-      out.Append(ins[j].start, ins[j].end, ins[j].id);
-      ++j;
+  const size_t n = b.size;
+  const size_t m = ins.size();
+
+  // Dead base rows: the tombstoned ids' rows, through the base's id
+  // index.
+  std::vector<storage::Pre> tombstoned;
+  tombstoned.reserve(delta.tombstones.size());
+  for (const storage::DeltaTombstone& t : delta.tombstones) {
+    tombstoned.push_back(t.id);
+  }
+  std::vector<uint32_t> dead;
+  base.AppendRowsOfIds(tombstoned, &dead);
+  std::sort(dead.begin(), dead.end());
+
+  // Column pass: live base runs bulk-copied between the insert positions
+  // and the dead rows. Each insert lands after every base row <= it in
+  // (start, end, id) order (upper bound; ties go to the base); inserts
+  // are sorted, so each search starts at the previous position.
+  constexpr uint32_t kDead = UINT32_MAX;
+  std::vector<uint32_t> new_row(n);  // base row -> merged row, or kDead
+  std::vector<uint32_t> ins_row(m);  // insert -> merged row
+  RegionIndex out;
+  RegionColumnsData& cols = out.cols_;
+  cols.Reserve(n - dead.size() + m);
+  size_t i = 0;  // next base row to place
+  size_t d = 0;  // next dead row
+  const auto copy_base_until = [&](size_t hi) {
+    while (i < hi) {
+      const size_t run_end = d < dead.size() && dead[d] < hi ? dead[d] : hi;
+      const uint32_t first = static_cast<uint32_t>(cols.size());
+      for (size_t r = i; r < run_end; ++r) {
+        new_row[r] = first + static_cast<uint32_t>(r - i);
+      }
+      cols.AppendRows(b, i, run_end);
+      i = run_end;
+      if (i < hi) {  // dead[d] == i
+        new_row[i++] = kDead;
+        ++d;
+      }
     }
+  };
+  size_t pos = 0;
+  for (size_t j = 0; j < m; ++j) {
+    const storage::DeltaInsert& x = ins[j];
+    size_t hi = n;
+    while (pos < hi) {
+      const size_t mid = pos + (hi - pos) / 2;
+      const bool row_le =
+          b.start[mid] != x.start
+              ? b.start[mid] < x.start
+              : (b.end[mid] != x.end ? b.end[mid] < x.end : b.id[mid] <= x.id);
+      if (row_le) {
+        pos = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    copy_base_until(pos);
+    ins_row[j] = static_cast<uint32_t>(cols.size());
+    cols.Append(x.start, x.end, x.id);
   }
-  for (; i < b.size; ++i) {
-    if (!base_dead(i)) out.Append(b.start[i], b.end[i], b.id[i]);
+  copy_base_until(n);
+
+  // Id pass: the base's rows_by_id renumbered (dead rows dropped) keeps
+  // ascending (id, row) order, because renumbering preserves row order;
+  // merged with the inserts in (id, row) order, it is exactly the
+  // stable id sort BuildIdIndex would produce. annotated_ids falls out
+  // of the same pass.
+  std::vector<uint32_t> ins_by_id(m);
+  std::iota(ins_by_id.begin(), ins_by_id.end(), 0u);
+  std::stable_sort(ins_by_id.begin(), ins_by_id.end(),
+                   [&ins](uint32_t a, uint32_t c) {
+                     return ins[a].id < ins[c].id;
+                   });
+  std::vector<uint32_t> rows_by_id;
+  rows_by_id.reserve(cols.size());
+  std::vector<storage::Pre> annotated;
+  annotated.reserve(base.annotated_ids_.size() + m);
+  const auto emit = [&](uint32_t row, storage::Pre id) {
+    rows_by_id.push_back(row);
+    if (annotated.empty() || annotated.back() != id) annotated.push_back(id);
+  };
+  size_t k = 0;
+  for (const uint32_t r : base.rows_by_id_) {
+    const uint32_t row = new_row[r];
+    if (row == kDead) continue;
+    const storage::Pre id = b.id[r];
+    for (; k < m; ++k) {
+      const uint32_t j = ins_by_id[k];
+      if (ins[j].id > id || (ins[j].id == id && ins_row[j] > row)) break;
+      emit(ins_row[j], ins[j].id);
+    }
+    emit(row, id);
   }
-  for (; j < ins.size(); ++j) {
-    out.Append(ins[j].start, ins[j].end, ins[j].id);
-  }
-  return RegionIndex::FromSortedColumns(std::move(out));
+  for (; k < m; ++k) emit(ins_row[ins_by_id[k]], ins[ins_by_id[k]].id);
+  out.rows_by_id_.Adopt(std::move(rows_by_id));
+  out.annotated_ids_.Adopt(std::move(annotated));
+  return out;
 }
 
 StatusOr<const RegionIndex*> RegionIndexCache::Get(

@@ -93,6 +93,11 @@ class RegionColumnsData {
   void GatherFrom(const RegionColumnsData& src,
                   const std::vector<uint32_t>& rows);
 
+  /// Bulk-appends src's rows [lo, hi), column by column. The start_sorted
+  /// promise survives when src carries it and the run does not start
+  /// below the current last row.
+  void AppendRows(const RegionColumns& src, size_t lo, size_t hi);
+
   /// Points the three columns at externally-owned memory (the mmap'ed
   /// snapshot); `view.start_sorted` carries the saved promise.
   void BorrowFrom(const RegionColumns& view);
@@ -161,11 +166,6 @@ class RegionIndex {
   /// Sorts `entries` by (start, end, id) and takes ownership.
   static RegionIndex FromEntries(std::vector<RegionEntry> entries);
 
-  /// Adopts columns already in canonical (start, end, id) order — the
-  /// delta merge cursor emits directly in that order, so no re-sort.
-  /// `cols` must carry the start_sorted promise.
-  static RegionIndex FromSortedColumns(RegionColumnsData cols);
-
   /// Scans the node table once and indexes every element that carries
   /// both configured region attributes.
   static StatusOr<RegionIndex> Build(const storage::NodeTable& table,
@@ -199,11 +199,13 @@ class RegionIndex {
 
   size_t size() const { return cols_.size(); }
 
-  /// Columns of the entries whose id occurs in `ids` (sorted ascending),
-  /// in index (start) order: the name-test pushdown intersection.
-  /// Adaptive: a linear merge over the id-sorted entry permutation when
-  /// `ids` is dense relative to the index (O(n + m)), a per-entry binary
-  /// search into `ids` when it is sparse (O(n log m)).
+  /// Columns of the entries whose id occurs in `ids` (sorted ascending;
+  /// repeats and ids without a region are allowed), in index (start)
+  /// order: the name-test pushdown intersection. Output-bounded: the
+  /// ids gallop forward through annotated_ids, each hit's rows come
+  /// from the id index, and only the selected row positions are sorted
+  /// — O(m log(n/m) + k log k) for m ids selecting k rows, never a scan
+  /// of the n index rows.
   RegionColumnsData IntersectColumns(storage::Span<storage::Pre> ids) const;
 
   /// Calls fn(start, end) for every region of annotated node `id`, in
@@ -216,43 +218,59 @@ class RegionIndex {
     const size_t rank = static_cast<size_t>(
         std::lower_bound(ids, annotated_ids_.end(), id) - ids);
     if (rank == annotated_ids_.size() || ids[rank] != id) return;
-    // Each of the `rank` smaller ids owns at least one row and at most
-    // all the surplus rows, so the id's first position in rows_by_id_
-    // lies in [rank, rank + surplus]: with one region per id (surplus
-    // 0) the contiguous search above already found it.
-    const size_t surplus = rows_by_id_.size() - annotated_ids_.size();
     const uint32_t* end_it = rows_by_id_.end();
-    const uint32_t* it = std::lower_bound(
-        rows_by_id_.begin() + rank, rows_by_id_.begin() + rank + surplus + 1,
-        id, [this](uint32_t row, storage::Pre value) {
-          return cols_.id()[row] < value;
-        });
-    for (; it != end_it && cols_.id()[*it] == id; ++it) {
+    for (const uint32_t* it = FirstRowOfRank(rank);
+         it != end_it && cols_.id()[*it] == id; ++it) {
       fn(cols_.start()[*it], cols_.end()[*it]);
     }
   }
 
  private:
   friend class storage::SnapshotIO;
+  friend RegionIndex MergeBaseDelta(const RegionIndex& base,
+                                    const storage::DeltaRun& delta);
+
+  /// Appends the row positions of every region of each id in `ids`
+  /// (sorted ascending; repeats and ids without a region add nothing),
+  /// in id order: the ids gallop forward through annotated_ids_, and
+  /// each hit's rows come from rows_by_id_. The lookup behind
+  /// IntersectColumns and MergeBaseDelta's tombstones.
+  void AppendRowsOfIds(storage::Span<storage::Pre> ids,
+                       std::vector<uint32_t>* rows) const;
+
+  /// The position in rows_by_id_ of the first row of annotated_ids_[rank].
+  /// Each of the `rank` smaller ids owns at least one row and at most
+  /// all the surplus rows, so that position lies in [rank, rank +
+  /// surplus]: with one region per id (surplus 0) it is `rank` itself.
+  const uint32_t* FirstRowOfRank(size_t rank) const {
+    const size_t surplus = rows_by_id_.size() - annotated_ids_.size();
+    return std::lower_bound(
+        rows_by_id_.begin() + rank, rows_by_id_.begin() + rank + surplus + 1,
+        annotated_ids_[rank], [this](uint32_t row, storage::Pre value) {
+          return cols_.id()[row] < value;
+        });
+  }
 
   RegionColumnsData cols_;                 // sorted by (start, end, id)
   storage::Column<storage::Pre> annotated_ids_;  // sorted by id
-  // Row positions permuted into ascending-id order: the id→region
-  // lookup of ForEachRegionOf and the dense-side merge input for
-  // IntersectColumns.
+  // Row positions permuted into ascending-id order (equal ids in row
+  // order): the id→region lookup of ForEachRegionOf, IntersectColumns
+  // and MergeBaseDelta.
   storage::Column<uint32_t> rows_by_id_;
 
   void BuildIdIndex();
 };
 
-/// The delta layer's merge-on-read cursor: a single streaming two-way
-/// union pass over the base columns (already (start, end, id)-sorted,
-/// minus the rows whose id the run tombstones) and the run's sorted
-/// inserts, materialized once into an owning RegionIndex. The result's
-/// columns are byte-identical to an index rebuilt from scratch over
-/// (base entries ∖ tombstoned ids) ∪ inserts — the differential
-/// contract — and the unchanged scalar/SIMD/gallop kernels consume it
-/// like any other index.
+/// The delta layer's merge-on-read: builds the owning RegionIndex of
+/// (base entries ∖ tombstoned ids) ∪ inserts, byte-identical — columns,
+/// annotated_ids and rows_by_id — to an index rebuilt from scratch over
+/// that set (the differential contract), so the unchanged
+/// scalar/SIMD/gallop kernels consume it like any other index. Linear
+/// in the base, with no sort or order check of it: the base's id index
+/// finds the tombstoned rows, each insert is placed by binary search
+/// (ties after equal base rows), the live base runs between them are
+/// bulk-copied, and rows_by_id is the base's permutation renumbered and
+/// merged with the inserts in (id, row) order.
 RegionIndex MergeBaseDelta(const RegionIndex& base,
                            const storage::DeltaRun& delta);
 

@@ -22,12 +22,6 @@ size_t CountLessI64Scalar(const int64_t* a, size_t n, int64_t v) {
   return count;
 }
 
-size_t CountLessU32Scalar(const uint32_t* a, size_t n, uint32_t v) {
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) count += a[i] < v ? 1u : 0u;
-  return count;
-}
-
 size_t CompactLeI64Scalar(const int64_t* end, const uint32_t* id, size_t n,
                           int64_t bound, uint64_t key_base, uint64_t* out) {
   size_t count = 0;
@@ -47,7 +41,7 @@ void EmitKeysScalar(const uint32_t* id, size_t n, uint64_t key_base,
 
 // ---------------------------------------------------------------------
 // SSE4.2 tier: 2 × int64 lanes (pcmpgtq is the SSE4.2 instruction the
-// tier is named for), 4 × u32 lanes. Compiled with per-function target
+// tier is named for). Compiled with per-function target
 // attributes so the translation unit itself needs no -msse4.2; the
 // functions are only ever CALLED through a table selected after CPUID.
 
@@ -63,25 +57,6 @@ size_t CountLessI64Sse42(const int64_t* a, size_t n, int64_t v) {
     count += static_cast<size_t>(
         _mm_popcnt_u32(static_cast<unsigned>(
             _mm_movemask_pd(_mm_castsi128_pd(lt)))));
-  }
-  for (; i < n; ++i) count += a[i] < v ? 1u : 0u;
-  return count;
-}
-
-__attribute__((target("sse4.2,popcnt")))
-size_t CountLessU32Sse42(const uint32_t* a, size_t n, uint32_t v) {
-  // pcmpgtd is signed; biasing both sides by 2^31 makes it unsigned.
-  const __m128i bias = _mm_set1_epi32(INT32_MIN);
-  const __m128i vv = _mm_xor_si128(_mm_set1_epi32(static_cast<int>(v)), bias);
-  size_t count = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i x = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)), bias);
-    const __m128i lt = _mm_cmpgt_epi32(vv, x);
-    count += static_cast<size_t>(
-        _mm_popcnt_u32(static_cast<unsigned>(_mm_movemask_ps(
-            _mm_castsi128_ps(lt)))));
   }
   for (; i < n; ++i) count += a[i] < v ? 1u : 0u;
   return count;
@@ -138,7 +113,7 @@ void EmitKeysSse42(const uint32_t* id, size_t n, uint64_t key_base,
 }
 
 // ---------------------------------------------------------------------
-// AVX2 tier: 4 × int64 lanes, 8 × u32 lanes.
+// AVX2 tier: 4 × int64 lanes.
 
 __attribute__((target("avx2,popcnt")))
 size_t CountLessI64Avx2(const int64_t* a, size_t n, int64_t v) {
@@ -152,25 +127,6 @@ size_t CountLessI64Avx2(const int64_t* a, size_t n, int64_t v) {
     count += static_cast<size_t>(
         _mm_popcnt_u32(static_cast<unsigned>(
             _mm256_movemask_pd(_mm256_castsi256_pd(lt)))));
-  }
-  for (; i < n; ++i) count += a[i] < v ? 1u : 0u;
-  return count;
-}
-
-__attribute__((target("avx2,popcnt")))
-size_t CountLessU32Avx2(const uint32_t* a, size_t n, uint32_t v) {
-  const __m256i bias = _mm256_set1_epi32(INT32_MIN);
-  const __m256i vv =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(v)), bias);
-  size_t count = 0;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i x = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), bias);
-    const __m256i lt = _mm256_cmpgt_epi32(vv, x);
-    count += static_cast<size_t>(
-        _mm_popcnt_u32(static_cast<unsigned>(_mm256_movemask_ps(
-            _mm256_castsi256_ps(lt)))));
   }
   for (; i < n; ++i) count += a[i] < v ? 1u : 0u;
   return count;
@@ -228,18 +184,18 @@ void EmitKeysAvx2(const uint32_t* id, size_t n, uint64_t key_base,
 #endif  // STANDOFF_SIMD_X86
 
 constexpr KernelOps kScalarOps = {
-    CountLessI64Scalar, CountLessU32Scalar, CompactLeI64Scalar,
+    CountLessI64Scalar, CompactLeI64Scalar,
     EmitKeysScalar, "scalar",
 };
 
 #if STANDOFF_SIMD_X86
 constexpr KernelOps kSse42Ops = {
-    CountLessI64Sse42, CountLessU32Sse42, CompactLeI64Sse42,
+    CountLessI64Sse42, CompactLeI64Sse42,
     EmitKeysSse42, "sse4.2",
 };
 
 constexpr KernelOps kAvx2Ops = {
-    CountLessI64Avx2, CountLessU32Avx2, CompactLeI64Avx2,
+    CountLessI64Avx2, CompactLeI64Avx2,
     EmitKeysAvx2, "avx2",
 };
 #endif

@@ -36,9 +36,6 @@ struct KernelOps {
   /// tail), so it runs unconditionally over all n rows.
   size_t (*count_less_i64)(const int64_t* a, size_t n, int64_t v);
 
-  /// Same for unsigned 32-bit values (node-id columns).
-  size_t (*count_less_u32)(const uint32_t* a, size_t n, uint32_t v);
-
   /// Blockwise containment test + mask compaction: for every k in
   /// [0, n) with end[k] <= bound, appends key_base | id[k] to out in
   /// k order. Returns the number written. `out` needs room for n.
@@ -84,20 +81,6 @@ inline size_t UpperBoundI64(const KernelOps& ops, const int64_t* a, size_t lo,
   // would wrap, but no value can exceed it either, so the answer is hi.
   if (v == INT64_MAX) return hi;
   return LowerBoundI64(ops, a, lo, hi, v + 1);
-}
-
-/// First index in [lo, hi) with a[i] >= v over a sorted u32 column.
-inline size_t LowerBoundU32(const KernelOps& ops, const uint32_t* a, size_t lo,
-                            size_t hi, uint32_t v) {
-  while (hi - lo > kSearchTail) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (a[mid] < v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo + ops.count_less_u32(a + lo, hi - lo, v);
 }
 
 }  // namespace simdk

@@ -4,9 +4,13 @@
 // query result — to a store rebuilt from scratch over the final state.
 //
 //   * Index level: MergeBaseDelta(base, run) vs RegionIndex rebuilt
-//     from the model entry set, over randomized op sequences including
-//     multi-region ids, delete-then-reinsert, and tombstones of ids
-//     with no base rows.
+//     from the model entry set — columns, annotated_ids and the id
+//     index ForEachRegionOf reads — over randomized op sequences on
+//     bases of up to a few thousand rows, including multi-region ids,
+//     inserts equal to base rows, delete-then-reinsert, tombstones of
+//     ids with no base rows, and insert-only / tombstone-only runs; and
+//     the same id index after a compaction round trip through a
+//     snapshot.
 //   * Engine level: EvaluateChain over the MutableStore's frozen
 //     DeltaStoreView vs an oracle store whose XML carries the final
 //     region state, across kernels (scalar / auto SIMD) × plan modes ×
@@ -19,10 +23,12 @@
 //     AdoptCompacted (= mid-compaction writes) must survive the
 //     rebase; ops at or below the frozen sequence must fold into the
 //     new base exactly once.
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -128,6 +134,19 @@ bool ColumnsEqual(const so::RegionIndex& a, const so::RegionIndex& b) {
   if (ia.size() != ib.size()) return false;
   for (size_t i = 0; i < ia.size(); ++i) {
     if (ia[i] != ib[i]) return false;
+  }
+  // The id index (rows_by_id) behind ForEachRegionOf: every id up to
+  // one past the largest must list the same regions in the same order.
+  const Pre max_id = ia.empty() ? 0 : ia[ia.size() - 1];
+  std::vector<std::pair<int64_t, int64_t>> ra, rb;
+  for (Pre id = 0; id <= max_id + 1; ++id) {
+    ra.clear();
+    rb.clear();
+    a.ForEachRegionOf(id,
+                      [&ra](int64_t s, int64_t e) { ra.emplace_back(s, e); });
+    b.ForEachRegionOf(id,
+                      [&rb](int64_t s, int64_t e) { rb.emplace_back(s, e); });
+    if (ra != rb) return false;
   }
   return true;
 }
@@ -291,35 +310,70 @@ std::vector<Pre> ChainPres(const xquery::ChainResult& result) {
 }  // namespace
 
 static void TestMergeBaseDeltaRandomOps() {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
+  // Shapes: 0 mixed ops, 1 inserts only, 2 tombstones only. Bases run
+  // from empty to a few thousand rows; ids repeat (multi-region ids),
+  // tombstones and inserts also name ids past the base's, some inserts
+  // copy a base row exactly, and a small hot id set makes
+  // delete-then-reinsert common.
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed);
     Model model;
     storage::DeltaRun run;
-    // Random base, including ids with MULTIPLE regions.
-    const int base_rows = static_cast<int>(rng.UniformRange(0, 40));
+    const int shape = static_cast<int>(seed % 3);
+    const int64_t size_pick = rng.UniformRange(0, 3);
+    const int base_rows =
+        size_pick == 0 ? 0
+                       : static_cast<int>(size_pick == 1
+                                              ? rng.UniformRange(1, 40)
+                                              : rng.UniformRange(1000, 4000));
+    const Pre max_id = static_cast<Pre>(std::max(20, base_rows * 2 / 3));
+    const int64_t span = std::max<int64_t>(500, base_rows * 4);
     for (int i = 0; i < base_rows; ++i) {
-      const int64_t start = rng.UniformRange(0, 500);
+      const int64_t start = rng.UniformRange(0, span);
       model.base.push_back(
           {start, start + rng.UniformRange(0, 100),
-           static_cast<Pre>(rng.UniformRange(1, 20))});
+           static_cast<Pre>(rng.UniformRange(1, max_id))});
     }
     so::RegionIndex base = so::RegionIndex::FromEntries(model.base);
     // The canonical sort may reorder; keep the model in lockstep.
     model.base = test::Rows(base);
 
+    const auto pick_id = [&]() {
+      const int64_t kind = rng.UniformRange(0, 9);
+      if (kind < 3) return static_cast<Pre>(rng.UniformRange(1, 8));  // hot
+      if (kind == 9) {  // past every base id
+        return static_cast<Pre>(max_id + rng.UniformRange(1, 50));
+      }
+      return static_cast<Pre>(rng.UniformRange(1, max_id));
+    };
     uint64_t seq = 0;
-    const int op_count = static_cast<int>(rng.UniformRange(1, 30));
+    const int op_count = static_cast<int>(
+        rng.UniformRange(1, base_rows > 100 ? 120 : 30));
     for (int i = 0; i < op_count; ++i) {
-      const Pre id = static_cast<Pre>(rng.UniformRange(1, 20));
-      if (rng.UniformRange(0, 2) == 0) {
+      const bool do_delete =
+          shape == 2 || (shape == 0 && rng.UniformRange(0, 2) == 0);
+      if (do_delete) {
+        const Pre id = pick_id();
         model.Delete(id);
         RunDelete(&run, id, ++seq);
-      } else {
-        const int64_t start = rng.UniformRange(0, 500);
-        const int64_t end = start + rng.UniformRange(0, 100);
-        model.Insert(start, end, id);
-        RunInsert(&run, start, end, id, ++seq);
+        continue;
       }
+      int64_t start, end;
+      Pre id;
+      if (!model.base.empty() && rng.UniformRange(0, 4) == 0) {
+        // An exact copy of a base row: ties the base in the merge.
+        const so::RegionEntry& row = model.base[static_cast<size_t>(
+            rng.UniformRange(0, static_cast<int64_t>(model.base.size()) - 1))];
+        start = row.start;
+        end = row.end;
+        id = row.id;
+      } else {
+        start = rng.UniformRange(0, span);
+        end = start + rng.UniformRange(0, 100);
+        id = pick_id();
+      }
+      model.Insert(start, end, id);
+      RunInsert(&run, start, end, id, ++seq);
     }
 
     const so::RegionIndex merged = so::MergeBaseDelta(base, run);
@@ -331,6 +385,57 @@ static void TestMergeBaseDeltaRandomOps() {
       CHECK(false);
     }
   }
+}
+
+static void TestCompactedIdIndexMatchesRebuilt() {
+  // A merged index saved by CompactToSnapshot and reopened from the
+  // mapping answers ForEachRegionOf (and its columns) like an index
+  // rebuilt over the final entry set. Second regions on annotated words
+  // make the saved id index multi-region.
+  std::vector<Slot> slots = MakeSlots();
+  std::vector<DeltaOp> ops = ScriptDeltas(&slots);
+  for (size_t i = 0; i < slots.size(); i += 4) {
+    if (slots[i].name == "word" && slots[i].has_final) {
+      ops.push_back({DeltaOp::kInsert, i, slots[i].final_start + 3,
+                     slots[i].final_end + 40});
+    }
+  }
+  const std::string path = TempPath("delta_id_index");
+  auto base = std::make_shared<storage::ShardedStore>(1);
+  CHECK_OK(base->AddDocumentText("d0", CorpusXml(slots, false)));
+
+  Model model;
+  {
+    so::RegionIndexCache cache;
+    auto index = cache.Get(*base, 0, so::StandoffConfig{});
+    CHECK_OK(index);
+    if (!index.ok()) return;
+    model.base = test::Rows(**index);
+  }
+  for (const DeltaOp& op : ops) {
+    if (op.kind == DeltaOp::kInsert) {
+      model.Insert(op.start, op.end, SlotPre(op.slot));
+    } else {
+      model.Delete(SlotPre(op.slot));
+    }
+  }
+  const so::RegionIndex rebuilt = so::RegionIndex::FromEntries(model.Final());
+
+  storage::MutableStore mutable_store(base);
+  ApplyOps(&mutable_store, ops, 0);
+  ThreadPool pool(2);
+  uint64_t compacted_seq = 0;
+  CHECK_OK(mutable_store.CompactToSnapshot(path, &pool, &compacted_seq));
+  auto snapshot = storage::Snapshot::Open(path);
+  CHECK_OK(snapshot);
+  if (snapshot.ok()) {
+    so::RegionIndexCache cache;
+    auto reopened =
+        cache.Get(*(*snapshot)->shared_store(), 0, so::StandoffConfig{});
+    CHECK_OK(reopened);
+    if (reopened.ok()) CHECK(ColumnsEqual(**reopened, rebuilt));
+  }
+  std::remove(path.c_str());
 }
 
 static void TestDeltaViewMatchesRebuiltAcrossGrid() {
@@ -628,6 +733,7 @@ static void TestCompactionMidBatch() {
 
 int main() {
   RUN_TEST(TestMergeBaseDeltaRandomOps);
+  RUN_TEST(TestCompactedIdIndexMatchesRebuilt);
   RUN_TEST(TestDeltaViewMatchesRebuiltAcrossGrid);
   RUN_TEST(TestFlworMatchesChainOverDeltas);
   RUN_TEST(TestViewCachingAndEmptyDelta);
