@@ -40,8 +40,7 @@ std::vector<so::IterRegion> LongOverlappingContexts(size_t n,
   for (size_t i = 0; i < n; ++i) {
     int64_t start = rng->UniformRange(0, universe * 4 / 5);
     int64_t end = start + universe / 5 + rng->UniformRange(0, 50);
-    rows.push_back(so::IterRegion{static_cast<uint32_t>(i), start, end,
-                                  static_cast<uint32_t>(i)});
+    rows.push_back(so::IterRegion{static_cast<uint32_t>(i), start, end});
   }
   return rows;
 }
@@ -53,8 +52,7 @@ std::vector<so::IterRegion> ShortContexts(size_t n, int64_t universe,
   for (size_t i = 0; i < n; ++i) {
     int64_t start = rng->UniformRange(0, universe);
     rows.push_back(so::IterRegion{static_cast<uint32_t>(i % 16), start,
-                                  start + rng->UniformRange(0, 30),
-                                  static_cast<uint32_t>(i)});
+                                  start + rng->UniformRange(0, 30)});
   }
   return rows;
 }
@@ -66,22 +64,15 @@ std::vector<so::IterRegion> NestedContexts(size_t n, int64_t universe) {
     int64_t start = static_cast<int64_t>(i);
     int64_t end = universe - static_cast<int64_t>(i);
     if (start >= end) break;
-    rows.push_back(so::IterRegion{0, start, end, static_cast<uint32_t>(i)});
+    rows.push_back(so::IterRegion{0, start, end});
   }
   return rows;
-}
-
-std::vector<uint32_t> AnnIters(const std::vector<so::IterRegion>& rows) {
-  std::vector<uint32_t> ann_iters(rows.size());
-  for (const so::IterRegion& r : rows) ann_iters[r.ann] = r.iter;
-  return ann_iters;
 }
 
 void RunJoin(benchmark::State& state,
              const std::vector<so::IterRegion>& context,
              const so::RegionIndex& index, so::ActiveListKind kind,
              bool prune, uint32_t iters) {
-  std::vector<uint32_t> ann_iters = AnnIters(context);
   so::JoinStats stats;
   for (auto _ : state) {
     so::JoinOptions options;
@@ -90,7 +81,7 @@ void RunJoin(benchmark::State& state,
     options.stats = &stats;
     std::vector<so::IterMatch> out;
     auto st = so::LoopLiftedStandoffJoinColumns(
-        so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+        so::StandoffOp::kSelectNarrow, context, index.columns(),
         index.annotated_ids(), iters, &out, options);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(out);

@@ -65,9 +65,8 @@ struct PushdownFixture {
     std::vector<so::IterRegion> rows;
     for (size_t i = 0; i < n; ++i) {
       int64_t start = rng.UniformRange(0, 900000);
-      rows.push_back(so::IterRegion{static_cast<uint32_t>(i), start,
-                                    start + 5000,
-                                    static_cast<uint32_t>(i)});
+      rows.push_back(
+          so::IterRegion{static_cast<uint32_t>(i), start, start + 5000});
     }
     return rows;
   }
@@ -76,15 +75,13 @@ struct PushdownFixture {
 void BM_WithPushdown(benchmark::State& state) {
   PushdownFixture fx(100000, state.range(0));
   auto context = fx.Contexts(64);
-  std::vector<uint32_t> ann_iters(64);
-  for (const auto& r : context) ann_iters[r.ann] = r.iter;
   for (auto _ : state) {
     // The intersection is part of the step cost.
     const so::RegionColumnsData candidates =
         fx.index->IntersectColumns(fx.needle_pres);
     std::vector<so::IterMatch> out;
     auto st = so::LoopLiftedStandoffJoinColumns(
-        so::StandoffOp::kSelectNarrow, context, ann_iters, candidates.View(),
+        so::StandoffOp::kSelectNarrow, context, candidates.View(),
         fx.needle_pres, 64, &out);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(out);
@@ -96,14 +93,12 @@ void BM_WithPushdown(benchmark::State& state) {
 void BM_WithPushdownCached(benchmark::State& state) {
   PushdownFixture fx(100000, state.range(0));
   auto context = fx.Contexts(64);
-  std::vector<uint32_t> ann_iters(64);
-  for (const auto& r : context) ann_iters[r.ann] = r.iter;
   const so::RegionColumnsData candidates =
       fx.index->IntersectColumns(fx.needle_pres);
   for (auto _ : state) {
     std::vector<so::IterMatch> out;
     auto st = so::LoopLiftedStandoffJoinColumns(
-        so::StandoffOp::kSelectNarrow, context, ann_iters, candidates.View(),
+        so::StandoffOp::kSelectNarrow, context, candidates.View(),
         fx.needle_pres, 64, &out);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(out);
@@ -113,14 +108,12 @@ void BM_WithPushdownCached(benchmark::State& state) {
 void BM_WithoutPushdown(benchmark::State& state) {
   PushdownFixture fx(100000, state.range(0));
   auto context = fx.Contexts(64);
-  std::vector<uint32_t> ann_iters(64);
-  for (const auto& r : context) ann_iters[r.ann] = r.iter;
   const storage::NodeTable& table = fx.store->table(0);
   for (auto _ : state) {
     // Join against everything, filter the matches by name afterwards.
     std::vector<so::IterMatch> out;
     auto st = so::LoopLiftedStandoffJoinColumns(
-        so::StandoffOp::kSelectNarrow, context, ann_iters, fx.index->columns(),
+        so::StandoffOp::kSelectNarrow, context, fx.index->columns(),
         fx.index->annotated_ids(), 64, &out);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     std::vector<so::IterMatch> filtered;

@@ -109,9 +109,7 @@ std::unique_ptr<ChainWorkload> MakeChainWorkload(size_t mid_rows) {
   spec.iter_count = static_cast<uint32_t>(ids.size());
   for (uint32_t i = 0; i < spec.iter_count; ++i) {
     w->top.ForEachRegionOf(ids[i], [&](int64_t s, int64_t e) {
-      const uint32_t ann = static_cast<uint32_t>(spec.ann_iters.size());
-      spec.ann_iters.push_back(i);
-      spec.context.push_back(so::IterRegion{i, s, e, ann});
+      spec.context.push_back(so::IterRegion{i, s, e});
     });
   }
   std::vector<int64_t> starts, ends;

@@ -48,19 +48,18 @@ int main() {
   std::printf("candidates: r1=[5,10] r2=[22,45] r3=[40,60] r4=[65,70]\n\n");
 
   std::vector<so::IterRegion> context{
-      {0, 0, 15, 0},
-      {1, 12, 35, 1},
-      {0, 20, 30, 2},
-      {0, 55, 80, 3},
+      {0, 0, 15},
+      {1, 12, 35},
+      {0, 20, 30},
+      {0, 55, 80},
   };
-  std::vector<uint32_t> ann_iters{0, 1, 0, 0};
 
   PrintTrace trace;
   so::JoinOptions options;
   options.trace = &trace;
   std::vector<so::IterMatch> out;
   Status st = so::LoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+      so::StandoffOp::kSelectNarrow, context, index.columns(),
       index.annotated_ids(), 2, &out, options);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());

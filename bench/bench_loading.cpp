@@ -19,7 +19,6 @@
 #include "storage/snapshot.h"
 #include "xmark/generator.h"
 #include "xmark/standoff_transform.h"
-#include "xml/dom.h"
 
 namespace {
 
@@ -62,17 +61,6 @@ void BM_ParseAndShred(benchmark::State& state) {
     auto id = store.AddDocumentText("x.xml", text);
     if (!id.ok()) state.SkipWithError(id.status().ToString().c_str());
     benchmark::DoNotOptimize(store);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(text.size()) *
-                          state.iterations());
-}
-
-void BM_ParseToDom(benchmark::State& state) {
-  const std::string& text = XmarkText();
-  for (auto _ : state) {
-    auto doc = xml::Parse(text);
-    if (!doc.ok()) state.SkipWithError(doc.status().ToString().c_str());
-    benchmark::DoNotOptimize(doc);
   }
   state.SetBytesProcessed(static_cast<int64_t>(text.size()) *
                           state.iterations());
@@ -293,7 +281,6 @@ void BM_ParallelSnapshotBuild(benchmark::State& state) {
 
 BENCHMARK(BM_Generate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParseAndShred)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ParseToDom)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StandoffTransform)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RegionIndexBuild)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ElementIndexBuild)->Unit(benchmark::kMillisecond);

@@ -22,7 +22,6 @@ struct Workload {
   std::vector<storage::Pre> candidate_ids;
   std::vector<so::AreaAnnotation> candidate_annotations;
   std::vector<so::IterRegion> context_rows;     // loop-lifted form
-  std::vector<uint32_t> ann_iters;
   std::vector<std::vector<so::AreaAnnotation>> context_per_iter;
   uint32_t iter_count;
 };
@@ -45,7 +44,6 @@ Workload MakeWorkload(size_t candidates, uint32_t iters) {
              {},
              {},
              {},
-             {},
              iters};
   const storage::Span<storage::Pre> ann_ids = w.index.annotated_ids();
   w.candidate_ids.assign(ann_ids.begin(), ann_ids.end());
@@ -59,9 +57,7 @@ Workload MakeWorkload(size_t candidates, uint32_t iters) {
   for (uint32_t it = 0; it < iters; ++it) {
     int64_t start = static_cast<int64_t>(it) * width;
     int64_t end = start + width;
-    uint32_t ann = static_cast<uint32_t>(w.ann_iters.size());
-    w.ann_iters.push_back(it);
-    w.context_rows.push_back(so::IterRegion{it, start, end, ann});
+    w.context_rows.push_back(so::IterRegion{it, start, end});
     w.context_per_iter[it].push_back(so::AreaAnnotation{0, {{start, end}}});
   }
   return w;
@@ -74,8 +70,8 @@ void BM_LoopLiftedJoin(benchmark::State& state) {
   for (auto _ : state) {
     std::vector<so::IterMatch> out;
     auto st = so::LoopLiftedStandoffJoinColumns(
-        so::StandoffOp::kSelectNarrow, w.context_rows, w.ann_iters,
-        w.index.columns(), w.candidate_ids, w.iter_count, &out);
+        so::StandoffOp::kSelectNarrow, w.context_rows, w.index.columns(),
+        w.candidate_ids, w.iter_count, &out);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     results = out.size();
     benchmark::DoNotOptimize(out);
@@ -104,8 +100,8 @@ void BM_LoopLiftedJoinSparse(benchmark::State& state) {
     options.arena = &arena;
     std::vector<so::IterMatch> out;
     auto st = so::LoopLiftedStandoffJoinColumns(
-        so::StandoffOp::kSelectNarrow, w.context_rows, w.ann_iters,
-        w.index.columns(), w.candidate_ids, w.iter_count, &out, options);
+        so::StandoffOp::kSelectNarrow, w.context_rows, w.index.columns(),
+        w.candidate_ids, w.iter_count, &out, options);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     results = out.size();
     benchmark::DoNotOptimize(out);
@@ -163,8 +159,8 @@ void BM_SelectWideLoopLifted(benchmark::State& state) {
   for (auto _ : state) {
     std::vector<so::IterMatch> out;
     auto st = so::LoopLiftedStandoffJoinColumns(
-        so::StandoffOp::kSelectWide, w.context_rows, w.ann_iters,
-        w.index.columns(), w.candidate_ids, w.iter_count, &out);
+        so::StandoffOp::kSelectWide, w.context_rows, w.index.columns(),
+        w.candidate_ids, w.iter_count, &out);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -176,8 +172,8 @@ void BM_RejectNarrowLoopLifted(benchmark::State& state) {
   for (auto _ : state) {
     std::vector<so::IterMatch> out;
     auto st = so::LoopLiftedStandoffJoinColumns(
-        so::StandoffOp::kRejectNarrow, w.context_rows, w.ann_iters,
-        w.index.columns(), w.candidate_ids, w.iter_count, &out);
+        so::StandoffOp::kRejectNarrow, w.context_rows, w.index.columns(),
+        w.candidate_ids, w.iter_count, &out);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

@@ -45,7 +45,7 @@ void RunSkewJoin(benchmark::State& state, so::StandoffOp op) {
     options.arena = &arena;
     options.stats = &stats;
     auto st = so::LoopLiftedStandoffJoinColumns(
-        op, w.context, w.ann_iters, w.index.columns(), w.candidate_ids,
+        op, w.context, w.index.columns(), w.candidate_ids,
         w.iter_count, &out, options);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     rows = out.size();

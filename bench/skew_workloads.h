@@ -41,7 +41,6 @@ struct SkewWorkload {
   so::RegionIndex index;
   std::vector<storage::Pre> candidate_ids;
   std::vector<so::IterRegion> context;
-  std::vector<uint32_t> ann_iters;
   uint32_t iter_count = 0;
 };
 
@@ -96,9 +95,7 @@ inline SkewWorkload MakeSkewWorkload(CandidateShape shape, size_t candidates,
       std::max<int64_t>(covered / std::max<uint32_t>(iters, 1), 1);
   for (uint32_t it = 0; it < iters; ++it) {
     const int64_t start = static_cast<int64_t>(it) * width;
-    const uint32_t ann = static_cast<uint32_t>(w.ann_iters.size());
-    w.ann_iters.push_back(it);
-    w.context.push_back(so::IterRegion{it, start, start + width, ann});
+    w.context.push_back(so::IterRegion{it, start, start + width});
   }
   return w;
 }

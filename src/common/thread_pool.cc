@@ -15,24 +15,20 @@ thread_local bool t_in_parallel_for = false;
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_workers) {
-  queues_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
   }
   wake_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  // Workers only exit once every queue is empty, so nothing is dropped.
+  // Workers only exit once the queue is empty, so nothing is dropped.
 }
 
 size_t ThreadPool::HardwareThreads() {
@@ -41,61 +37,28 @@ size_t ThreadPool::HardwareThreads() {
 }
 
 void ThreadPool::Submit(std::function<void()> fn) {
-  if (queues_.empty()) {
+  if (workers_.empty()) {
     fn();
     return;
   }
   {
-    // queued_ must be published while holding wake_mu_: a worker whose
-    // wait predicate just read queued_ == 0 still holds the mutex, so
-    // this increment (and the notify that follows its release) cannot
-    // slip into the window before that worker blocks — the classic
-    // lost-wakeup race.
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    const size_t target = next_queue_++ % queues_.size();
-    {
-      std::lock_guard<std::mutex> queue_lock(queues_[target]->mu);
-      queues_[target]->tasks.push_back(std::move(fn));
-    }
-    queued_.fetch_add(1, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(fn));
   }
   wake_cv_.notify_one();
 }
 
-bool ThreadPool::RunOneTask(size_t self) {
-  std::function<void()> task;
-  // Own queue first (front = submission order), then steal from the
-  // back of the other queues, scanning from the next neighbor so
-  // thieves spread out.
-  for (size_t probe = 0; probe < queues_.size() && !task; ++probe) {
-    const size_t victim = (self + probe) % queues_.size();
-    Queue& q = *queues_[victim];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (q.tasks.empty()) continue;
-    if (victim == self) {
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-    } else {
-      task = std::move(q.tasks.back());
-      q.tasks.pop_back();
-    }
-  }
-  if (!task) return false;
-  queued_.fetch_sub(1, std::memory_order_release);
-  task();
-  return true;
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
+void ThreadPool::WorkerLoop() {
   for (;;) {
-    if (RunOneTask(self)) continue;
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    wake_cv_.wait(lock, [this] {
-      return stopping_ || queued_.load(std::memory_order_acquire) > 0;
-    });
-    if (stopping_ && queued_.load(std::memory_order_acquire) == 0) {
-      return;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      wake_cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stopping, and everything ran
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
+    task();
   }
 }
 

@@ -1,9 +1,10 @@
-// A small work-stealing thread pool plus the ParallelFor helper that
-// parallel ingest, snapshot saves and compaction merges are built on.
+// A small FIFO thread pool plus the ParallelFor helper that parallel
+// ingest, snapshot saves and compaction merges are built on.
 //
-// Each worker owns a deque: Submit round-robins new tasks across the
-// deques, a worker pops from the front of its own deque, and an idle
-// worker steals from the back of a victim's. ParallelFor partitions an
+// The pool is one task queue under one mutex: Submit appends, an idle
+// worker takes the oldest task. Its work is a few coarse tasks — the
+// ParallelFor helpers and auto-compaction — so there is nothing for
+// per-worker queues or stealing to balance. ParallelFor partitions an
 // index range dynamically (one shared cursor, so uneven per-index cost
 // balances automatically), runs chunks on the pool AND the calling
 // thread, and folds per-index Status results — including thrown
@@ -17,12 +18,10 @@
 #ifndef STANDOFF_COMMON_THREAD_POOL_H_
 #define STANDOFF_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -46,31 +45,20 @@ class ThreadPool {
 
   size_t num_workers() const { return workers_.size(); }
 
-  /// Enqueues `fn` for execution on some worker (round-robin placement,
-  /// work-stealing balances the rest). With zero workers, runs inline.
+  /// Enqueues `fn` for execution on the next idle worker, in
+  /// submission order. With zero workers, runs inline.
   void Submit(std::function<void()> fn);
 
   static size_t HardwareThreads();
 
  private:
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(size_t self);
-
-  /// Pops one task — own queue front first, then steals from the back
-  /// of the other queues — and runs it. False when everything is empty.
-  bool RunOneTask(size_t self);
-
-  std::vector<std::unique_ptr<Queue>> queues_;
   std::vector<std::thread> workers_;
-  std::mutex wake_mu_;
+  std::mutex mu_;
   std::condition_variable wake_cv_;
-  std::atomic<size_t> queued_{0};  // tasks pushed but not yet taken
-  size_t next_queue_ = 0;  // round-robin cursor, guarded by wake_mu_
-  bool stopping_ = false;  // guarded by wake_mu_
+  std::deque<std::function<void()>> tasks_;  // guarded by mu_
+  bool stopping_ = false;                    // guarded by mu_
 };
 
 /// Invokes `fn(i)` once for every i in [begin, end), distributing

@@ -248,29 +248,15 @@ StatusOr<ServerStats> Client::Stats() {
   if (reply->type != MsgType::kStatsRep) {
     return Status::Internal("expected kStatsRep");
   }
+  // Fields the body does not reach (an older server's shorter reply)
+  // stay zero.
   size_t off = 0;
   ServerStats stats;
-  uint64_t* fields[] = {&stats.generation,           &stats.queries_ok,
-                        &stats.queries_rejected,     &stats.queries_error,
-                        &stats.connections_accepted, &stats.swaps,
-                        &stats.subplan_hits,         &stats.subplan_misses,
-                        &stats.subplan_evictions};
-  for (uint64_t* field : fields) {
-    auto value = TakeU64(reply->body, &off);
-    if (!value.ok()) return value.status();
-    *field = *value;
-  }
-  // Appended by protocol 2; absent (and zero) on an older server.
-  uint64_t* tail[] = {&stats.delta_inserts,      &stats.delta_deletes,
-                      &stats.delta_live_rows,    &stats.delta_live_tombstones,
-                      &stats.compactions,        &stats.wal_appends,
-                      &stats.wal_fsyncs,         &stats.wal_replayed_ops,
-                      &stats.wal_truncated_bytes, &stats.auto_compactions};
-  for (uint64_t* field : tail) {
+  for (const ServerStatsField& field : kServerStatsFields) {
     if (off + 8 > reply->body.size()) break;
     auto value = TakeU64(reply->body, &off);
     if (!value.ok()) return value.status();
-    *field = *value;
+    stats.*field.value = *value;
   }
   return stats;
 }

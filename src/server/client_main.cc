@@ -12,7 +12,8 @@
 //   --delete=doc,id              SEQ <n>
 //   --compact[=path]             COMPACTED gen=<g> seq=<s>
 //   --swap=path                  SWAPPED gen=<g>
-//   --stats                      STATS key=value ...
+//   --stats                      STATS key=value ... (every ServerStats
+//                                counter, kServerStatsFields order)
 //
 // The CI kill-and-recover loop drives writes with --insert, SIGKILLs
 // the server, restarts it on the same --wal-dir, and verifies the
@@ -139,19 +140,12 @@ int main(int argc, char** argv) {
     } else if (op == "--stats") {
       auto stats = (*client)->Stats();
       if (!stats.ok()) return Fail(stats.status(), "stats");
-      std::printf(
-          "STATS generation=%" PRIu64 " queries_ok=%" PRIu64
-          " queries_rejected=%" PRIu64 " queries_error=%" PRIu64
-          " delta_inserts=%" PRIu64 " delta_deletes=%" PRIu64
-          " delta_live_rows=%" PRIu64 " compactions=%" PRIu64
-          " wal_appends=%" PRIu64 " wal_fsyncs=%" PRIu64
-          " wal_replayed_ops=%" PRIu64 " wal_truncated_bytes=%" PRIu64
-          " auto_compactions=%" PRIu64 "\n",
-          stats->generation, stats->queries_ok, stats->queries_rejected,
-          stats->queries_error, stats->delta_inserts, stats->delta_deletes,
-          stats->delta_live_rows, stats->compactions, stats->wal_appends,
-          stats->wal_fsyncs, stats->wal_replayed_ops,
-          stats->wal_truncated_bytes, stats->auto_compactions);
+      std::printf("STATS");
+      for (const standoff::server::ServerStatsField& field :
+           standoff::server::kServerStatsFields) {
+        std::printf(" %s=%" PRIu64, field.name, (*stats).*field.value);
+      }
+      std::printf("\n");
     } else {
       std::fprintf(stderr, "unknown op: %s\n", op.c_str());
       return 2;

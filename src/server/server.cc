@@ -617,25 +617,9 @@ bool Server::HandleCompact(int fd, const std::string& body) {
 void Server::SendStats(int fd) {
   const ServerStats stats = this->stats();
   std::string body;
-  AppendU64(&body, stats.generation);
-  AppendU64(&body, stats.queries_ok);
-  AppendU64(&body, stats.queries_rejected);
-  AppendU64(&body, stats.queries_error);
-  AppendU64(&body, stats.connections_accepted);
-  AppendU64(&body, stats.swaps);
-  AppendU64(&body, stats.subplan_hits);
-  AppendU64(&body, stats.subplan_misses);
-  AppendU64(&body, stats.subplan_evictions);
-  AppendU64(&body, stats.delta_inserts);
-  AppendU64(&body, stats.delta_deletes);
-  AppendU64(&body, stats.delta_live_rows);
-  AppendU64(&body, stats.delta_live_tombstones);
-  AppendU64(&body, stats.compactions);
-  AppendU64(&body, stats.wal_appends);
-  AppendU64(&body, stats.wal_fsyncs);
-  AppendU64(&body, stats.wal_replayed_ops);
-  AppendU64(&body, stats.wal_truncated_bytes);
-  AppendU64(&body, stats.auto_compactions);
+  for (const ServerStatsField& field : kServerStatsFields) {
+    AppendU64(&body, stats.*field.value);
+  }
   WriteFrame(fd, MsgType::kStatsRep, body);
 }
 

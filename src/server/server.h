@@ -98,7 +98,7 @@ struct ServerStats {
   uint64_t subplan_evictions = 0;
   /// Mutable-store counters (DESIGN.md §15): accepted writes, the
   /// delta rows / tombstones currently pending, and completed
-  /// compactions. Appended to kStatsRep after the fields above.
+  /// compactions.
   uint64_t delta_inserts = 0;
   uint64_t delta_deletes = 0;
   uint64_t delta_live_rows = 0;
@@ -107,14 +107,43 @@ struct ServerStats {
   /// WAL durability counters (DESIGN.md §16): appends/fsyncs since
   /// boot, operations recovered by boot-time replay, bytes dropped
   /// from a torn tail at that replay, and completed threshold-
-  /// triggered compactions. All zero when the WAL is off. Appended to
-  /// kStatsRep after the fields above (offset-parsed tail: versions
-  /// only ever APPEND fields).
+  /// triggered compactions. All zero when the WAL is off.
   uint64_t wal_appends = 0;
   uint64_t wal_fsyncs = 0;
   uint64_t wal_replayed_ops = 0;
   uint64_t wal_truncated_bytes = 0;
   uint64_t auto_compactions = 0;
+};
+
+/// One ServerStats counter: its wire/CLI name and its member.
+struct ServerStatsField {
+  const char* name;
+  uint64_t ServerStats::*value;
+};
+
+/// Every ServerStats counter in kStatsRep order — the one list the
+/// server encodes, the client decodes and `standoff_client --stats`
+/// prints. Protocol versions only ever APPEND to it.
+inline constexpr ServerStatsField kServerStatsFields[] = {
+    {"generation", &ServerStats::generation},
+    {"queries_ok", &ServerStats::queries_ok},
+    {"queries_rejected", &ServerStats::queries_rejected},
+    {"queries_error", &ServerStats::queries_error},
+    {"connections_accepted", &ServerStats::connections_accepted},
+    {"swaps", &ServerStats::swaps},
+    {"subplan_hits", &ServerStats::subplan_hits},
+    {"subplan_misses", &ServerStats::subplan_misses},
+    {"subplan_evictions", &ServerStats::subplan_evictions},
+    {"delta_inserts", &ServerStats::delta_inserts},
+    {"delta_deletes", &ServerStats::delta_deletes},
+    {"delta_live_rows", &ServerStats::delta_live_rows},
+    {"delta_live_tombstones", &ServerStats::delta_live_tombstones},
+    {"compactions", &ServerStats::compactions},
+    {"wal_appends", &ServerStats::wal_appends},
+    {"wal_fsyncs", &ServerStats::wal_fsyncs},
+    {"wal_replayed_ops", &ServerStats::wal_replayed_ops},
+    {"wal_truncated_bytes", &ServerStats::wal_truncated_bytes},
+    {"auto_compactions", &ServerStats::auto_compactions},
 };
 
 /// Bounded admission: TryEnter either reserves a slot or reports the

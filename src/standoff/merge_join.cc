@@ -566,9 +566,9 @@ std::vector<IterRegion> SingleIterationRows(
     const std::vector<AreaAnnotation>& context) {
   std::vector<IterRegion> rows;
   rows.reserve(context.size());
-  for (size_t i = 0; i < context.size(); ++i) {
-    for (const Region& r : context[i].regions) {
-      rows.push_back(IterRegion{0, r.start, r.end, static_cast<uint32_t>(i)});
+  for (const AreaAnnotation& a : context) {
+    for (const Region& r : a.regions) {
+      rows.push_back(IterRegion{0, r.start, r.end});
     }
   }
   return rows;
@@ -662,11 +662,10 @@ Status BasicStandoffJoinColumns(StandoffOp op,
                                 std::vector<storage::Pre>* out,
                                 JoinOptions options) {
   const std::vector<IterRegion> rows = SingleIterationRows(context);
-  const std::vector<uint32_t> ann_iters(context.size(), 0);
   std::vector<IterMatch> matches;
   STANDOFF_RETURN_IF_ERROR(LoopLiftedStandoffJoinColumns(
-      op, rows, ann_iters, candidates, candidate_ids,
-      /*iter_count=*/1, &matches, options));
+      op, rows, candidates, candidate_ids, /*iter_count=*/1, &matches,
+      options));
   out->clear();
   out->reserve(matches.size());
   for (const IterMatch& m : matches) out->push_back(m.pre);
@@ -674,8 +673,7 @@ Status BasicStandoffJoinColumns(StandoffOp op,
 }
 
 Status LoopLiftedStandoffJoinColumns(
-    StandoffOp op, const std::vector<IterRegion>& context,
-    const std::vector<uint32_t>& ann_iters, RegionColumns cand,
+    StandoffOp op, const std::vector<IterRegion>& context, RegionColumns cand,
     storage::Span<storage::Pre> candidate_ids, uint32_t iter_count,
     std::vector<IterMatch>* out, JoinOptions options) {
   out->clear();
@@ -684,9 +682,6 @@ Status LoopLiftedStandoffJoinColumns(
       return Status::Invalid("context row iteration " +
                              std::to_string(c.iter) + " >= iter_count " +
                              std::to_string(iter_count));
-    }
-    if (c.ann >= ann_iters.size() || ann_iters[c.ann] != c.iter) {
-      return Status::Invalid("ann_iters inconsistent with context rows");
     }
     if (c.end < c.start) {
       return Status::Invalid("context region ends before it starts");

@@ -73,13 +73,14 @@ struct AreaAnnotation {
   std::vector<Region> regions;
 };
 
-/// One loop-lifted context row: region `[start, end]` of context
-/// annotation `ann`, live in loop iteration `iter`.
+/// One loop-lifted context row: region `[start, end]`, live in loop
+/// iteration `iter` — the paper's (iter, item) table with the item
+/// resolved to its region. A multi-region context node contributes one
+/// row per region, all with the same `iter`.
 struct IterRegion {
   uint32_t iter = 0;
   int64_t start = 0;
   int64_t end = 0;
-  uint32_t ann = 0;
 };
 
 /// One loop-lifted result row: candidate node `pre` matches in `iter`.
@@ -144,13 +145,13 @@ class JoinArena {
   std::vector<uint8_t> iter_present;         // reject complement scratch
 };
 
-/// Algorithm knobs of the merge kernels themselves — the bottom layer
-/// of the options scheme (DESIGN.md §15). Every higher-level options
-/// struct embeds exactly one of these (JoinOptions derives from it;
-/// EngineOptions carries a JoinOptions) and derives downward, so a
-/// kernel flag is stated once and flows through engine, planner and
-/// server without field-by-field copying.
-struct KernelOptions {
+/// Options of one join — the bottom layer of the options scheme
+/// (DESIGN.md §15). EngineOptions carries one JoinOptions and the
+/// planner and server derive theirs from it, so a kernel flag is stated
+/// once and flows through engine, planner and server without
+/// field-by-field copying. The algorithm knobs come first, then the
+/// attachments (scratch, tracing, stats) that belong to a single call.
+struct JoinOptions {
   ActiveListKind active_list = ActiveListKind::kSortedList;
   bool prune_contained_contexts = true;
   /// Skip-based merging: gallop the candidate cursor over runs with no
@@ -165,13 +166,6 @@ struct KernelOptions {
   /// benchmarks compare against. Every level produces byte-identical
   /// output.
   simd::Level simd = simd::Level::kAuto;
-};
-
-/// Per-call options of one join: the kernel knobs plus the attachments
-/// (scratch, tracing, stats) that belong to a single invocation. The
-/// inheritance is the migration shim — `options.gallop`, `options.simd`
-/// etc. read the KernelOptions layer directly.
-struct JoinOptions : KernelOptions {
   /// Reusable scratch; null means per-call local buffers (allocates).
   JoinArena* arena = nullptr;
   TraceSink* trace = nullptr;    // non-null: emit per-step events (slow)
@@ -197,15 +191,14 @@ Status BasicStandoffJoinColumns(StandoffOp op,
                                 JoinOptions options = JoinOptions());
 
 /// The loop-lifted kernel: answers all `iter_count` loop iterations in
-/// one merge pass over the candidate columns. `ann_iters[ann]` must give
-/// the iteration of context annotation `ann` (consistency-checked
-/// against `context`). Output is sorted by (iter, pre) and
-/// duplicate-free.
+/// one merge pass over the candidate columns. Every context row must
+/// have `iter < iter_count` and `end >= start`. Output is sorted by
+/// (iter, pre) and duplicate-free.
 Status LoopLiftedStandoffJoinColumns(
     StandoffOp op, const std::vector<IterRegion>& context,
-    const std::vector<uint32_t>& ann_iters, RegionColumns candidates,
-    storage::Span<storage::Pre> candidate_ids, uint32_t iter_count,
-    std::vector<IterMatch>* out, JoinOptions options = JoinOptions());
+    RegionColumns candidates, storage::Span<storage::Pre> candidate_ids,
+    uint32_t iter_count, std::vector<IterMatch>* out,
+    JoinOptions options = JoinOptions());
 
 }  // namespace so
 }  // namespace standoff

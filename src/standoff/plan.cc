@@ -147,17 +147,15 @@ Status Checkpoint(const ChainExecOptions& options) {
 
 Status RunJoin(const ChainEdge& edge, const EdgePlan& edge_plan,
                const ChainLayer& layer, const std::vector<IterRegion>& ctx,
-               const std::vector<uint32_t>& ann_iters, uint32_t iter_count,
-               const ChainExecOptions& options, std::vector<IterMatch>* out,
-               ChainStats* stats) {
+               uint32_t iter_count, const ChainExecOptions& options,
+               std::vector<IterMatch>* out, ChainStats* stats) {
   if (!layer.ids_set) {
     return Status::Invalid("chain layer has no candidate universe");
   }
   JoinOptions join = options.join;
   join.gallop = options.join.gallop && edge_plan.gallop;
   STANDOFF_RETURN_IF_ERROR(LoopLiftedStandoffJoinColumns(
-      edge.op, ctx, ann_iters, layer.columns, layer.ids, iter_count, out,
-      join));
+      edge.op, ctx, layer.columns, layer.ids, iter_count, out, join));
   if (edge.post) STANDOFF_RETURN_IF_ERROR(edge.post(out));
   if (stats) {
     ++stats->joins_run;
@@ -174,9 +172,7 @@ Status RunTopDown(const ChainSpec& spec, const ChainPlan& plan,
                   const ChainExecOptions& options,
                   std::vector<IterMatch>* out, ChainStats* stats) {
   const std::vector<IterRegion>* ctx = &spec.context;
-  const std::vector<uint32_t>* ann_iters = &spec.ann_iters;
   std::vector<IterRegion> ctx_buf;
-  std::vector<uint32_t> iter_buf;
   std::vector<IterMatch> matches;
   for (size_t e = 0; e < edge_count; ++e) {
     STANDOFF_RETURN_IF_ERROR(Checkpoint(options));
@@ -186,16 +182,15 @@ Status RunTopDown(const ChainSpec& spec, const ChainPlan& plan,
                                   : spec.edges[e].layer;
     matches.clear();
     STANDOFF_RETURN_IF_ERROR(RunJoin(spec.edges[e], plan.edges[e], layer,
-                                     *ctx, *ann_iters, spec.iter_count,
-                                     options, &matches, stats));
+                                     *ctx, spec.iter_count, options,
+                                     &matches, stats));
     if (last) break;
     if (layer.index == nullptr) {
       return Status::Invalid("non-final chain edge needs a region index");
     }
     // The join has finished reading *ctx; the buffers can be refilled.
-    MatchesToContext(matches, *layer.index, &ctx_buf, &iter_buf);
+    MatchesToContext(matches, *layer.index, &ctx_buf);
     ctx = &ctx_buf;
-    ann_iters = &iter_buf;
   }
   *out = std::move(matches);
   return Status::OK();
@@ -216,10 +211,8 @@ Status RunBottomUpLast(const ChainSpec& spec, const ChainPlan& plan,
 
   // 1. The final edge, loop-lifted over every middle-layer row at once.
   std::vector<IterRegion> row_ctx(mid_rows);
-  std::vector<uint32_t> row_iters(mid_rows);
   for (uint32_t r = 0; r < mid_rows; ++r) {
-    row_ctx[r] = IterRegion{r, mid.start[r], mid.end[r], r};
-    row_iters[r] = r;
+    row_ctx[r] = IterRegion{r, mid.start[r], mid.end[r]};
   }
   std::vector<IterMatch> low;  // (middle row, final-layer node)
   {
@@ -231,7 +224,7 @@ Status RunBottomUpLast(const ChainSpec& spec, const ChainPlan& plan,
     JoinOptions join = options.join;
     join.gallop = options.join.gallop && plan.edges[edge_total - 1].gallop;
     STANDOFF_RETURN_IF_ERROR(LoopLiftedStandoffJoinColumns(
-        last_edge.op, row_ctx, row_iters, last_edge.layer.columns,
+        last_edge.op, row_ctx, last_edge.layer.columns,
         last_edge.layer.ids, mid_rows, &low, join));
     if (last_edge.post) STANDOFF_RETURN_IF_ERROR(last_edge.post(&low));
     if (stats) {
@@ -320,15 +313,11 @@ Status RunBottomUpLast(const ChainSpec& spec, const ChainPlan& plan,
 
 void MatchesToContext(const std::vector<IterMatch>& matches,
                       const RegionIndex& index,
-                      std::vector<IterRegion>* ctx,
-                      std::vector<uint32_t>* ann_iters) {
+                      std::vector<IterRegion>* ctx) {
   ctx->clear();
-  ann_iters->clear();
   for (const IterMatch& m : matches) {
     index.ForEachRegionOf(m.pre, [&](int64_t start, int64_t end) {
-      const uint32_t ann = static_cast<uint32_t>(ann_iters->size());
-      ann_iters->push_back(m.iter);
-      ctx->push_back(IterRegion{m.iter, start, end, ann});
+      ctx->push_back(IterRegion{m.iter, start, end});
     });
   }
 }
@@ -412,9 +401,6 @@ Status ExecuteChain(const ChainSpec& spec, const ChainPlan& plan,
   if (plan.edges.size() != spec.edges.size()) {
     return Status::Invalid("plan does not match the chain's edge count");
   }
-  if (spec.ann_iters.size() != spec.context.size()) {
-    return Status::Invalid("ann_iters must parallel the context rows");
-  }
   if (plan.order == ChainOrder::kBottomUpLast) {
     if (!BottomUpLegal(spec)) {
       return Status::Invalid(
@@ -430,72 +416,38 @@ Status ExecuteChain(const ChainSpec& spec, const ChainPlan& plan,
 // Sub-plan memo.
 // ---------------------------------------------------------------------------
 
-uint64_t SubPlanMemo::HashKey(const std::string& key) const {
-  if (collide_) return 0;  // every key collides: full-key compare must save us
-  uint64_t h = 1469598103934665603ull;  // FNV-1a 64
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-void SubPlanMemo::Unbucket(uint64_t hash, LruIter it) {
-  auto bucket = by_hash_.find(hash);
-  if (bucket == by_hash_.end()) return;
-  std::vector<LruIter>& slots = bucket->second;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i] == it) {
-      slots.erase(slots.begin() + static_cast<ptrdiff_t>(i));
-      break;
-    }
-  }
-  if (slots.empty()) by_hash_.erase(bucket);
-}
-
 std::shared_ptr<const SubPlanMemo::Entry> SubPlanMemo::Lookup(
     const std::string& key) {
-  const uint64_t hash = HashKey(key);
-  auto bucket = by_hash_.find(hash);
-  if (bucket != by_hash_.end()) {
-    for (LruIter it : bucket->second) {
-      if (it->key == key) {  // the anti-poisoning compare
-        ++hits_;
-        lru_.splice(lru_.begin(), lru_, it);
-        return it->entry;
-      }
-    }
+  auto found = by_key_.find(key);
+  if (found == by_key_.end()) {
+    ++misses_;
+    return nullptr;
   }
-  ++misses_;
-  return nullptr;
+  ++hits_;
+  lru_.splice(lru_.begin(), lru_, found->second);
+  return found->second->entry;
 }
 
 void SubPlanMemo::Insert(const std::string& key,
                          std::shared_ptr<const Entry> entry) {
-  const uint64_t hash = HashKey(key);
-  auto bucket = by_hash_.find(hash);
-  if (bucket != by_hash_.end()) {
-    for (LruIter it : bucket->second) {
-      if (it->key == key) {
-        it->entry = std::move(entry);
-        lru_.splice(lru_.begin(), lru_, it);
-        return;
-      }
-    }
+  auto found = by_key_.find(key);
+  if (found != by_key_.end()) {
+    found->second->entry = std::move(entry);
+    lru_.splice(lru_.begin(), lru_, found->second);
+    return;
   }
   lru_.push_front(Node{key, std::move(entry)});
-  by_hash_[hash].push_back(lru_.begin());
+  by_key_.emplace(lru_.front().key, lru_.begin());
   while (lru_.size() > capacity_) {
-    LruIter last = std::prev(lru_.end());
-    Unbucket(HashKey(last->key), last);
-    lru_.erase(last);
+    by_key_.erase(lru_.back().key);
+    lru_.pop_back();
     ++evictions_;
   }
 }
 
 void SubPlanMemo::Clear() {
+  by_key_.clear();
   lru_.clear();
-  by_hash_.clear();
 }
 
 }  // namespace so

@@ -43,6 +43,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -84,7 +85,6 @@ struct ChainEdge {
 /// sets has N-1 edges.
 struct ChainSpec {
   std::vector<IterRegion> context;
-  std::vector<uint32_t> ann_iters;
   uint32_t iter_count = 0;
   storage::RegionStats context_stats;  // over the context rows
   std::vector<ChainEdge> edges;
@@ -140,14 +140,13 @@ struct ChainStats {
 };
 
 /// Memo of evaluated sub-plan results, keyed by a canonical key string
-/// naming (doc, standoff type, context, predicate prefix). Lookup
-/// hashes the key for bucketing but ALWAYS compares the stored full
-/// key before returning a hit, so two structurally hash-colliding but
-/// semantically different sub-plans can never alias (pinned by the
-/// memo-poisoning regression test). Entries are refcounted
-/// (shared_ptr): a consumer holding a result keeps it alive across
-/// eviction. Capacity-bounded with LRU eviction. NOT thread-safe —
-/// each engine owns one and probes it from one thread at a time.
+/// naming (doc, standoff type, context, predicate prefix). The index is
+/// a hash map over the full key strings, so a hit always means an equal
+/// key: two different sub-plans can never alias, whatever their hashes
+/// (pinned by the memo-poisoning regression test). Entries are
+/// refcounted (shared_ptr): a consumer holding a result keeps it alive
+/// across eviction. Capacity-bounded with LRU eviction. NOT thread-safe
+/// — each engine owns one and probes it from one thread at a time.
 class SubPlanMemo {
  public:
   struct Entry {
@@ -170,11 +169,6 @@ class SubPlanMemo {
   size_t misses() const { return misses_; }
   size_t evictions() const { return evictions_; }
 
-  /// Test hook: collapse every key's hash into one bucket, so every
-  /// pair of keys structurally collides — correctness must then come
-  /// entirely from the full-key compare.
-  void set_collide_for_test(bool on) { collide_ = on; }
-
  private:
   struct Node {
     std::string key;
@@ -182,13 +176,11 @@ class SubPlanMemo {
   };
   using LruIter = std::list<Node>::iterator;
 
-  uint64_t HashKey(const std::string& key) const;
-  void Unbucket(uint64_t hash, LruIter it);
-
   size_t capacity_;
-  bool collide_ = false;
   std::list<Node> lru_;  // front = most recently used
-  std::unordered_map<uint64_t, std::vector<LruIter>> by_hash_;
+  /// Keys are views of the list nodes' own key strings (list nodes
+  /// never move), erased before their node.
+  std::unordered_map<std::string_view, LruIter> by_key_;
   size_t hits_ = 0;
   size_t misses_ = 0;
   size_t evictions_ = 0;
@@ -213,16 +205,14 @@ Status ExecuteChain(const ChainSpec& spec, const ChainPlan& plan,
                     const ChainExecOptions& options,
                     std::vector<IterMatch>* out, ChainStats* stats = nullptr);
 
-/// (iter, node) pairs to loop-lifted context rows: one row per region
-/// of each node (RegionIndex::ForEachRegionOf), in input order, with
-/// `ann` numbering the rows. The one way a context is built — a chain's
-/// top context, each edge's matches for the next edge, and a FLWOR
-/// StandOff step's context nodes. Input sorted by iteration yields rows
-/// sorted by iteration, as the kernels expect.
+/// (iter, node) pairs to loop-lifted context rows: one (iter, start,
+/// end) row per region of each node (RegionIndex::ForEachRegionOf), in
+/// input order. The one way a context is built — a chain's top context,
+/// each edge's matches for the next edge, and a FLWOR StandOff step's
+/// context nodes.
 void MatchesToContext(const std::vector<IterMatch>& matches,
                       const RegionIndex& index,
-                      std::vector<IterRegion>* ctx,
-                      std::vector<uint32_t>* ann_iters);
+                      std::vector<IterRegion>* ctx);
 
 }  // namespace so
 }  // namespace standoff

@@ -1,7 +1,7 @@
 // Single-pass pull tokenizer over a UTF-8 XML byte string. It is the one
-// scanner behind both xml::Parse (DOM) and the DocumentStore shredder, so
-// both see identical documents. Token buffers are reused across Next()
-// calls: no per-token heap traffic on the hot path.
+// scanner behind the DocumentStore shredder and the StandOff transform,
+// so both see identical documents. Token buffers are reused across
+// Next() calls: no per-token heap traffic on the hot path.
 //
 // Zero-copy fast path: names are always served as string_view slices of
 // the input, and text / attribute values are too whenever the raw bytes

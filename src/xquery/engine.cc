@@ -353,12 +353,14 @@ StatusOr<const Engine::CandidateSet*> Engine::GetCandidates(
 
 const storage::RegionStats* Engine::GetIndexStats(
     storage::DocId doc, const so::RegionIndex& index) {
-  auto it = index_stats_cache_.find(doc);
+  auto key = std::make_pair(doc, so::ConfigFingerprint(standoff_config_));
+  auto it = index_stats_cache_.find(key);
   if (it == index_stats_cache_.end()) {
     const so::RegionColumns cols = index.columns();
     it = index_stats_cache_
-             .emplace(doc, storage::RegionStats::Compute(cols.start, cols.end,
-                                                         cols.size))
+             .emplace(std::move(key),
+                      storage::RegionStats::Compute(cols.start, cols.end,
+                                                    cols.size))
              .first;
   }
   return &it->second;
@@ -476,7 +478,7 @@ StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
   for (uint32_t i = 0; i < spec.iter_count; ++i) {
     context_nodes[i] = so::IterMatch{i, result.context_ids[i]};
   }
-  so::MatchesToContext(context_nodes, **index, &spec.context, &spec.ann_iters);
+  so::MatchesToContext(context_nodes, **index, &spec.context);
   for (const ChainStep& step : query.steps) {
     if (!IsStandoffAxis(step.axis)) {
       return Status::Invalid("chain steps must use StandOff axes");
@@ -551,18 +553,13 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
     // nothing was cached), and its stats are computed over those REAL
     // rows — the suffix is planned against materialized cardinalities,
     // not the top-of-chain estimates.
-    std::vector<so::IterRegion> ctx_buf;
-    std::vector<uint32_t> iter_buf;
     so::ChainSpec suffix;
     suffix.iter_count = spec.iter_count;
     if (p == 0) {
       suffix.context = spec.context;
-      suffix.ann_iters = spec.ann_iters;
       suffix.context_stats = spec.context_stats;
     } else {
-      so::MatchesToContext(matches, index, &ctx_buf, &iter_buf);
-      suffix.context = std::move(ctx_buf);
-      suffix.ann_iters = std::move(iter_buf);
+      so::MatchesToContext(matches, index, &suffix.context);
       suffix.context_stats = ContextStats(suffix.context);
     }
     for (size_t e = p; e < n; ++e) suffix.edges.push_back(spec.edges[e]);
@@ -593,9 +590,8 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
         one.context_stats = suffix.context_stats;
         if (e == p) {
           one.context = std::move(suffix.context);
-          one.ann_iters = std::move(suffix.ann_iters);
         } else {
-          so::MatchesToContext(matches, index, &one.context, &one.ann_iters);
+          so::MatchesToContext(matches, index, &one.context);
           one.context_stats = ContextStats(one.context);
         }
         one.edges.push_back(spec.edges[e]);
@@ -673,7 +669,7 @@ Status Engine::ApplyStandoffStep(const Step& step, Lifted* rows) {
     }
     so::ChainSpec spec;
     spec.iter_count = rows->iter_count;
-    so::MatchesToContext(nodes, **index, &spec.context, &spec.ann_iters);
+    so::MatchesToContext(nodes, **index, &spec.context);
     std::vector<so::IterMatch> matches;
     switch (mode_) {
       case StandoffMode::kLoopLifted: {

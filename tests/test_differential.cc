@@ -38,7 +38,6 @@ struct Workload {
   so::RegionIndex index;
   std::vector<so::AreaAnnotation> candidate_annotations;
   std::vector<IterRegion> context;
-  std::vector<uint32_t> ann_iters;
   std::map<uint32_t, std::vector<so::AreaAnnotation>> context_per_iter;
   uint32_t iter_count = 0;
 };
@@ -82,11 +81,9 @@ Workload MakeWorkload(uint64_t seed) {
         static_cast<uint32_t>(rng.UniformRange(0, w.iter_count - 1));
     const int64_t start = rng.UniformRange(0, universe);
     const int64_t end = start + rng.UniformRange(0, 150);
-    const uint32_t ann = static_cast<uint32_t>(w.ann_iters.size());
-    w.ann_iters.push_back(iter);
-    w.context.push_back(IterRegion{iter, start, end, ann});
+    w.context.push_back(IterRegion{iter, start, end});
     w.context_per_iter[iter].push_back(
-        so::AreaAnnotation{ann, {{start, end}}});
+        so::AreaAnnotation{static_cast<Pre>(i), {{start, end}}});
   }
   return w;
 }
@@ -138,7 +135,7 @@ static void TestDifferential() {
             join.arena = &arena;
             std::vector<IterMatch> lifted;
             CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-                op, w.context, w.ann_iters, w.index.columns(),
+                op, w.context, w.index.columns(),
                 w.index.annotated_ids(), w.iter_count, &lifted, join));
             CHECK(lifted == oracle);
             ++comparisons;

@@ -45,7 +45,6 @@ void CheckStatsEqual(const so::JoinStats& a, const so::JoinStats& b) {
 /// run's stats.
 so::JoinStats CheckBothPaths(so::StandoffOp op,
                              const std::vector<IterRegion>& context,
-                             const std::vector<uint32_t>& ann_iters,
                              const so::RegionIndex& index,
                              uint32_t iter_count) {
   const std::vector<IterMatch> oracle = test::OracleStandoffJoin(
@@ -61,14 +60,14 @@ so::JoinStats CheckBothPaths(so::StandoffOp op,
     on.simd = level;
     on.stats = &stats;
     CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-        op, context, ann_iters, index.columns(), index.annotated_ids(),
-        iter_count, &with_gallop, on));
+        op, context, index.columns(), index.annotated_ids(), iter_count,
+        &with_gallop, on));
     so::JoinOptions off;
     off.gallop = false;
     off.simd = level;
     CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-        op, context, ann_iters, index.columns(), index.annotated_ids(),
-        iter_count, &without_gallop, off));
+        op, context, index.columns(), index.annotated_ids(), iter_count,
+        &without_gallop, off));
     CHECK(with_gallop == oracle);
     CHECK(without_gallop == oracle);
     if (have_gallop_stats) {
@@ -94,9 +93,9 @@ static void TestSkipToExactStart() {
   entries.push_back(RegionEntry{1000, 1005, 100});  // == context start
   entries.push_back(RegionEntry{1001, 1004, 101});
   so::RegionIndex index = so::RegionIndex::FromEntries(std::move(entries));
-  const std::vector<IterRegion> context{{0, 1000, 2000, 0}};
+  const std::vector<IterRegion> context{{0, 1000, 2000}};
   const so::JoinStats stats = CheckBothPaths(
-      so::StandoffOp::kSelectNarrow, context, {0}, index, 1);
+      so::StandoffOp::kSelectNarrow, context, index, 1);
   CHECK_EQ(stats.candidates_skipped, 50u);  // exactly the early run
   CHECK_EQ(stats.candidates_scanned, 2u);
 }
@@ -110,9 +109,9 @@ static void TestSkipPastEnd() {
                                   static_cast<int64_t>(i) + 3, i + 2});
   }
   so::RegionIndex index = so::RegionIndex::FromEntries(std::move(entries));
-  const std::vector<IterRegion> context{{0, 5000, 6000, 0}};
+  const std::vector<IterRegion> context{{0, 5000, 6000}};
   const so::JoinStats stats = CheckBothPaths(
-      so::StandoffOp::kSelectNarrow, context, {0}, index, 1);
+      so::StandoffOp::kSelectNarrow, context, index, 1);
   CHECK_EQ(stats.candidates_skipped, 40u);
   CHECK_EQ(stats.candidates_scanned, 0u);
   CHECK_EQ(stats.matches_emitted, 0u);
@@ -127,7 +126,7 @@ static void TestNoContextAtAllSkipsEverything() {
                             so::StandoffOp::kSelectWide,
                             so::StandoffOp::kRejectNarrow,
                             so::StandoffOp::kRejectWide}) {
-    CheckBothPaths(op, {}, {}, index, 1);
+    CheckBothPaths(op, {}, index, 1);
   }
 }
 
@@ -137,9 +136,9 @@ static void TestSingleCandidateRuns() {
   std::vector<RegionEntry> entries{
       {0, 1, 2}, {100, 101, 3}, {200, 201, 4}, {300, 301, 5}};
   so::RegionIndex index = so::RegionIndex::FromEntries(std::move(entries));
-  std::vector<IterRegion> context{{0, 95, 105, 0}, {1, 295, 305, 1}};
+  std::vector<IterRegion> context{{0, 95, 105}, {1, 295, 305}};
   const so::JoinStats stats = CheckBothPaths(
-      so::StandoffOp::kSelectNarrow, context, {0, 1}, index, 2);
+      so::StandoffOp::kSelectNarrow, context, index, 2);
   // Candidates at 0 and 200 are skipped (no live context), 100 and 300
   // are probed and match.
   CHECK_EQ(stats.candidates_skipped, 2u);
@@ -151,9 +150,9 @@ static void TestZeroWidthAtSkipBoundary() {
   // boundary conditions (start == start, end == start) at once.
   std::vector<RegionEntry> entries{{5, 5, 2}, {50, 50, 3}, {70, 70, 4}};
   so::RegionIndex index = so::RegionIndex::FromEntries(std::move(entries));
-  std::vector<IterRegion> context{{0, 50, 50, 0}};
+  std::vector<IterRegion> context{{0, 50, 50}};
   const so::JoinStats stats = CheckBothPaths(
-      so::StandoffOp::kSelectNarrow, context, {0}, index, 1);
+      so::StandoffOp::kSelectNarrow, context, index, 1);
   CHECK_EQ(stats.candidates_scanned, 1u);  // only the candidate at 50
   CHECK_EQ(stats.candidates_skipped, 2u);
 }
@@ -164,9 +163,9 @@ static void TestDeadContextSkip() {
   std::vector<RegionEntry> entries{{1000, 1010, 2}};
   so::RegionIndex index = so::RegionIndex::FromEntries(std::move(entries));
   std::vector<IterRegion> context{
-      {0, 0, 10, 0}, {1, 20, 30, 1}, {2, 990, 2000, 2}};
+      {0, 0, 10}, {1, 20, 30}, {2, 990, 2000}};
   const so::JoinStats stats = CheckBothPaths(
-      so::StandoffOp::kSelectNarrow, context, {0, 1, 2}, index, 3);
+      so::StandoffOp::kSelectNarrow, context, index, 3);
   CHECK_EQ(stats.contexts_dead, 2u);
   CHECK_EQ(stats.active_peak, 1u);
 }
@@ -180,11 +179,11 @@ static void TestWideGallopBoundaries() {
       {500, 600, 4}  // overlaps the second context
   };
   so::RegionIndex index = so::RegionIndex::FromEntries(std::move(entries));
-  std::vector<IterRegion> context{{0, 100, 110, 0}, {1, 550, 560, 1}};
+  std::vector<IterRegion> context{{0, 100, 110}, {1, 550, 560}};
   const so::JoinStats stats = CheckBothPaths(
-      so::StandoffOp::kSelectWide, context, {0, 1}, index, 2);
+      so::StandoffOp::kSelectWide, context, index, 2);
   CHECK_EQ(stats.candidates_skipped, 1u);
-  CheckBothPaths(so::StandoffOp::kRejectWide, context, {0, 1}, index, 2);
+  CheckBothPaths(so::StandoffOp::kRejectWide, context, index, 2);
 }
 
 static void TestDispatchTailsAndSlices() {
@@ -209,7 +208,6 @@ static void TestDispatchTailsAndSlices() {
   so::RegionIndex index = so::RegionIndex::FromEntries(std::move(entries));
   const so::RegionColumns all = index.columns();
   const std::vector<simd::Level> levels = DispatchLevels();
-  const std::vector<uint32_t> ann_iters{0, 1};
   const size_t lo_values[] = {0, 1, 2, 3, 5};
   const size_t len_values[] = {0, 1, 2, 3, 5, 7, 8, 9, 15, 17, 33};
   for (size_t lo : lo_values) {
@@ -219,8 +217,8 @@ static void TestDispatchTailsAndSlices() {
       const int64_t span_lo = len > 0 ? slice.start[0] : 0;
       const int64_t span_hi = len > 0 ? slice.start[len - 1] + 16 : 8;
       std::vector<IterRegion> context{
-          IterRegion{0, span_lo - 1, span_hi, 0},
-          IterRegion{1, (span_lo + span_hi) / 2, span_hi + 4, 1}};
+          IterRegion{0, span_lo - 1, span_hi},
+          IterRegion{1, (span_lo + span_hi) / 2, span_hi + 4}};
       const std::vector<RegionEntry> slice_entries = test::Rows(slice);
       for (so::StandoffOp op : {so::StandoffOp::kSelectNarrow,
                                 so::StandoffOp::kSelectWide,
@@ -235,7 +233,7 @@ static void TestDispatchTailsAndSlices() {
             options.gallop = gallop;
             std::vector<IterMatch> out;
             CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-                op, context, ann_iters, slice, index.annotated_ids(), 2,
+                op, context, slice, index.annotated_ids(), 2,
                 &out, options));
             CHECK(out == oracle);
           }
@@ -260,15 +258,12 @@ static void TestGallopAgainstOracleRandomized() {
     }
     so::RegionIndex index = so::RegionIndex::FromEntries(std::move(entries));
     std::vector<IterRegion> context;
-    std::vector<uint32_t> ann_iters;
     const uint32_t iters = 1 + static_cast<uint32_t>(rng.UniformRange(0, 4));
     for (uint32_t it = 0; it < iters; ++it) {
       // Tiny clustered contexts: ~0.2% coverage each.
       const int64_t start = rng.UniformRange(0, universe);
-      const uint32_t ann = static_cast<uint32_t>(ann_iters.size());
-      ann_iters.push_back(it);
       context.push_back(
-          IterRegion{it, start, start + rng.UniformRange(0, 200), ann});
+          IterRegion{it, start, start + rng.UniformRange(0, 200)});
     }
     for (so::StandoffOp op : {so::StandoffOp::kSelectNarrow,
                               so::StandoffOp::kSelectWide,
@@ -284,7 +279,7 @@ static void TestGallopAgainstOracleRandomized() {
           options.simd = level;
           std::vector<IterMatch> out;
           CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-              op, context, ann_iters, index.columns(), index.annotated_ids(),
+              op, context, index.columns(), index.annotated_ids(),
               iters, &out, options));
           CHECK(out == oracle);
         }

@@ -62,7 +62,6 @@ namespace {
 struct ArenaWorkload {
   so::RegionIndex index;
   std::vector<IterRegion> context;
-  std::vector<uint32_t> ann_iters;
   uint32_t iter_count;
 };
 
@@ -86,10 +85,8 @@ ArenaWorkload MakeArenaWorkload(bool shuffled_iters) {
         shuffled_iters ? (it * 13) % w.iter_count : it;
     const int64_t start = (universe / w.iter_count) *
                           (shuffled_iters ? it : iter);
-    const uint32_t ann = static_cast<uint32_t>(w.ann_iters.size());
-    w.ann_iters.push_back(iter);
     w.context.push_back(IterRegion{
-        iter, start, start + universe / w.iter_count + 500, ann});
+        iter, start, start + universe / w.iter_count + 500});
   }
   return w;
 }
@@ -101,7 +98,7 @@ size_t CountAllocationsOver(int calls, const ArenaWorkload& w,
   g_counting = true;
   for (int i = 0; i < calls; ++i) {
     const Status st = so::LoopLiftedStandoffJoinColumns(
-        op, w.context, w.ann_iters, w.index.columns(), w.index.annotated_ids(),
+        op, w.context, w.index.columns(), w.index.annotated_ids(),
         w.iter_count, out, options);
     if (!st.ok()) {
       g_counting = false;
@@ -130,7 +127,7 @@ static void TestWarmArenaAllocatesNothing() {
         std::vector<IterMatch> out;
         // Warm-up: sizes every arena buffer and the output vector.
         CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-            op, w.context, w.ann_iters, w.index.columns(),
+            op, w.context, w.index.columns(),
             w.index.annotated_ids(), w.iter_count, &out, options));
         CHECK(!out.empty());
         const size_t allocs = CountAllocationsOver(5, w, op, options, &out);
@@ -167,10 +164,10 @@ static void TestResultsIdenticalWithAndWithoutArena() {
     with.arena = &arena;
     std::vector<IterMatch> out_arena, out_local;
     CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-        op, w.context, w.ann_iters, w.index.columns(), w.index.annotated_ids(),
+        op, w.context, w.index.columns(), w.index.annotated_ids(),
         w.iter_count, &out_arena, with));
     CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-        op, w.context, w.ann_iters, w.index.columns(), w.index.annotated_ids(),
+        op, w.context, w.index.columns(), w.index.annotated_ids(),
         w.iter_count, &out_local, {}));
     CHECK(out_arena == out_local);
     CHECK(!out_arena.empty());

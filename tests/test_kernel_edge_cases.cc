@@ -20,10 +20,9 @@ const std::vector<so::AreaAnnotation> kSomeContext = {
 };
 
 const std::vector<IterRegion> kSomeIterContext = {
-    {0, 10, 50, 0},
-    {1, 60, 90, 1},
+    {0, 10, 50},
+    {1, 60, 90},
 };
-const std::vector<uint32_t> kSomeAnnIters = {0, 1};
 
 }  // namespace
 
@@ -70,12 +69,12 @@ static void TestLoopLiftedEmptyInputs() {
         so::StandoffOp::kRejectNarrow, so::StandoffOp::kRejectWide}) {
     std::vector<IterMatch> out = {{3, 3}};
     CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-        op, kSomeIterContext, kSomeAnnIters, empty_index.columns(),
+        op, kSomeIterContext, empty_index.columns(),
         empty_index.annotated_ids(), 2, &out));
     CHECK(out.empty());
     out = {{3, 3}};
     CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-        op, {}, {}, empty_index.columns(), empty_index.annotated_ids(), 0,
+        op, {}, empty_index.columns(), empty_index.annotated_ids(), 0,
         &out));
     CHECK(out.empty());
   }

@@ -20,7 +20,7 @@ so::RegionIndex Fig4Candidates() {
 
 const std::vector<IterRegion>& Fig4Context() {
   static const std::vector<IterRegion>* rows = new std::vector<IterRegion>{
-      {0, 0, 15, 0}, {1, 12, 35, 1}, {0, 20, 30, 2}, {0, 55, 80, 3}};
+      {0, 0, 15}, {1, 12, 35}, {0, 20, 30}, {0, 55, 80}};
   return *rows;
 }
 
@@ -50,7 +50,6 @@ void CheckFig4Result(const std::vector<IterMatch>& out) {
 
 static void TestLoopLiftedSelectNarrow() {
   so::RegionIndex index = Fig4Candidates();
-  std::vector<uint32_t> ann_iters{0, 1, 0, 0};
   for (so::ActiveListKind kind :
        {so::ActiveListKind::kSortedList, so::ActiveListKind::kEndHeap}) {
     for (bool prune : {true, false}) {
@@ -63,8 +62,8 @@ static void TestLoopLiftedSelectNarrow() {
         options.stats = &stats;
         std::vector<IterMatch> out;
         CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-            so::StandoffOp::kSelectNarrow, Fig4Context(), ann_iters,
-            index.columns(), index.annotated_ids(), 2, &out, options));
+            so::StandoffOp::kSelectNarrow, Fig4Context(), index.columns(),
+            index.annotated_ids(), 2, &out, options));
         CheckFig4Result(out);
         // Every candidate is either probed or provably-unmatchable and
         // galloped over; without galloping all four are probed. In the
@@ -80,13 +79,12 @@ static void TestLoopLiftedSelectNarrow() {
 
 static void TestTraceEmitsSteps() {
   so::RegionIndex index = Fig4Candidates();
-  std::vector<uint32_t> ann_iters{0, 1, 0, 0};
   CountingTrace trace;
   so::JoinOptions options;
   options.trace = &trace;
   std::vector<IterMatch> out;
   CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kSelectNarrow, Fig4Context(), ann_iters, index.columns(),
+      so::StandoffOp::kSelectNarrow, Fig4Context(), index.columns(),
       index.annotated_ids(), 2, &out, options));
   CheckFig4Result(out);
   CHECK(trace.events() >= 8);  // reads, activations, retirements, matches
@@ -130,12 +128,9 @@ static void TestAgainstBasicAndNaive() {
 static void TestPruningCollapsesNestedContexts() {
   // 100 nested same-iteration contexts: all but the outermost prune away.
   std::vector<IterRegion> context;
-  std::vector<uint32_t> ann_iters;
   for (int i = 0; i < 100; ++i) {
     context.push_back(IterRegion{0, static_cast<int64_t>(i),
-                                 static_cast<int64_t>(1000 - i),
-                                 static_cast<uint32_t>(i)});
-    ann_iters.push_back(0);
+                                 static_cast<int64_t>(1000 - i)});
   }
   so::RegionIndex index =
       so::RegionIndex::FromEntries({{100, 200, 2}, {300, 900, 3}});
@@ -144,7 +139,7 @@ static void TestPruningCollapsesNestedContexts() {
   options.stats = &stats;
   std::vector<IterMatch> out;
   CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+      so::StandoffOp::kSelectNarrow, context, index.columns(),
       index.annotated_ids(), 1, &out, options));
   CHECK_EQ(out.size(), 2u);
   CHECK_EQ(stats.contexts_skipped, 99u);
@@ -155,7 +150,7 @@ static void TestPruningCollapsesNestedContexts() {
   options.stats = &stats_off;
   std::vector<IterMatch> out_off;
   CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+      so::StandoffOp::kSelectNarrow, context, index.columns(),
       index.annotated_ids(), 1, &out_off, options));
   CHECK(out == out_off);
   CHECK_EQ(stats_off.contexts_skipped, 0u);
@@ -164,31 +159,24 @@ static void TestPruningCollapsesNestedContexts() {
 
 static void TestValidation() {
   so::RegionIndex index = Fig4Candidates();
-  std::vector<uint32_t> ann_iters{0, 1, 0, 0};
   std::vector<IterMatch> out;
   // Iteration out of range.
   CHECK(!so::LoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kSelectNarrow, Fig4Context(), ann_iters, index.columns(),
+      so::StandoffOp::kSelectNarrow, Fig4Context(), index.columns(),
       index.annotated_ids(), 1, &out)
-             .ok());
-  // Inconsistent ann_iters.
-  std::vector<uint32_t> wrong{1, 1, 0, 0};
-  CHECK(!so::LoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kSelectNarrow, Fig4Context(), wrong, index.columns(),
-      index.annotated_ids(), 2, &out)
              .ok());
   // A context row that ends before it starts.
   CHECK(!so::LoopLiftedStandoffJoinColumns(
-             so::StandoffOp::kSelectNarrow, {{0, 50, 10, 0}}, {0},
-             index.columns(), index.annotated_ids(), 1, &out)
+             so::StandoffOp::kSelectNarrow, {{0, 50, 10}}, index.columns(),
+             index.annotated_ids(), 1, &out)
              .ok());
   // Unsorted external candidates.
   so::RegionColumnsData unsorted;
   unsorted.Append(50, 60, 3);
   unsorted.Append(10, 20, 2);
   CHECK(!so::LoopLiftedStandoffJoinColumns(
-             so::StandoffOp::kSelectNarrow, Fig4Context(), ann_iters,
-             unsorted.View(), index.annotated_ids(), 2, &out)
+             so::StandoffOp::kSelectNarrow, Fig4Context(), unsorted.View(),
+             index.annotated_ids(), 2, &out)
              .ok());
 }
 

@@ -21,7 +21,6 @@ struct Workload {
   so::RegionIndex index;
   std::vector<so::AreaAnnotation> candidate_annotations;
   std::vector<IterRegion> context;
-  std::vector<uint32_t> ann_iters;
   std::map<uint32_t, std::vector<so::AreaAnnotation>> context_per_iter;
   uint32_t iter_count = 0;
 };
@@ -49,11 +48,9 @@ Workload MakeWorkload(uint64_t seed) {
         static_cast<uint32_t>(rng.UniformRange(0, w.iter_count - 1));
     int64_t start = rng.UniformRange(0, universe);
     int64_t end = start + rng.UniformRange(0, 200);
-    uint32_t ann = static_cast<uint32_t>(w.ann_iters.size());
-    w.ann_iters.push_back(iter);
-    w.context.push_back(IterRegion{iter, start, end, ann});
+    w.context.push_back(IterRegion{iter, start, end});
     w.context_per_iter[iter].push_back(
-        so::AreaAnnotation{ann, {{start, end}}});
+        so::AreaAnnotation{static_cast<Pre>(i), {{start, end}}});
   }
   return w;
 }
@@ -65,7 +62,7 @@ std::vector<IterMatch> RunLifted(const Workload& w, so::StandoffOp op,
   options.prune_contained_contexts = prune;
   std::vector<IterMatch> out;
   CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-      op, w.context, w.ann_iters, w.index.columns(), w.index.annotated_ids(),
+      op, w.context, w.index.columns(), w.index.annotated_ids(),
       w.iter_count, &out, options));
   return out;
 }
@@ -132,11 +129,11 @@ static void TestEmptyInputs() {
   std::vector<IterMatch> out;
   // No context rows: selects are empty; rejects have no live iterations.
   CHECK_OK(so::LoopLiftedStandoffJoinColumns(so::StandoffOp::kSelectNarrow, {},
-                                             {}, w.index.columns(),
+                                             w.index.columns(),
                                              w.index.annotated_ids(), 4, &out));
   CHECK(out.empty());
   CHECK_OK(so::LoopLiftedStandoffJoinColumns(so::StandoffOp::kRejectNarrow, {},
-                                             {}, w.index.columns(),
+                                             w.index.columns(),
                                              w.index.annotated_ids(), 4, &out));
   CHECK(out.empty());
   // A duplicated (but sorted) candidate universe must not leak duplicate
@@ -149,19 +146,19 @@ static void TestEmptyInputs() {
     }
     std::vector<IterMatch> dedup_out;
     CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-        so::StandoffOp::kRejectNarrow, w.context, w.ann_iters,
-        w.index.columns(), dup_universe, w.iter_count, &dedup_out));
+        so::StandoffOp::kRejectNarrow, w.context, w.index.columns(),
+        dup_universe, w.iter_count, &dedup_out));
     std::vector<IterMatch> plain_out;
     CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-        so::StandoffOp::kRejectNarrow, w.context, w.ann_iters,
-        w.index.columns(), w.index.annotated_ids(), w.iter_count, &plain_out));
+        so::StandoffOp::kRejectNarrow, w.context, w.index.columns(),
+        w.index.annotated_ids(), w.iter_count, &plain_out));
     CHECK(dedup_out == plain_out);
   }
   // No candidates: reject still yields nothing (empty universe).
   so::RegionIndex empty_index;
   CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kRejectWide, w.context, w.ann_iters,
-      empty_index.columns(), empty_index.annotated_ids(), w.iter_count, &out));
+      so::StandoffOp::kRejectWide, w.context, empty_index.columns(),
+      empty_index.annotated_ids(), w.iter_count, &out));
   CHECK(out.empty());
 }
 

@@ -88,12 +88,10 @@ static void TestTableSemantics() {
     CHECK_EQ(fx.Ids(naive), std::string(c.expected));
 
     // Loop-lifted with a single iteration.
-    std::vector<so::IterRegion> context{{0, 0, 31, 0}};
-    std::vector<uint32_t> ann_iters{0};
+    std::vector<so::IterRegion> context{{0, 0, 31}};
     std::vector<IterMatch> lifted;
-    CHECK_OK(so::LoopLiftedStandoffJoinColumns(c.op, context, ann_iters,
-                                               fx.shot_entries.View(),
-                                               fx.shot_pres, 1, &lifted));
+    CHECK_OK(so::LoopLiftedStandoffJoinColumns(
+        c.op, context, fx.shot_entries.View(), fx.shot_pres, 1, &lifted));
     std::vector<Pre> lifted_pres;
     for (const IterMatch& m : lifted) lifted_pres.push_back(m.pre);
     CHECK_EQ(fx.Ids(lifted_pres), std::string(c.expected));
@@ -104,11 +102,10 @@ static void TestTwoIterationReject() {
   // Two iterations: iter0 = U2, iter1 = Bach. reject-narrow per iteration
   // complements independently.
   Fixture fx;
-  std::vector<so::IterRegion> context{{0, 0, 31, 0}, {1, 52, 94, 1}};
-  std::vector<uint32_t> ann_iters{0, 1};
+  std::vector<so::IterRegion> context{{0, 0, 31}, {1, 52, 94}};
   std::vector<IterMatch> out;
   CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kRejectNarrow, context, ann_iters, fx.shot_entries.View(),
+      so::StandoffOp::kRejectNarrow, context, fx.shot_entries.View(),
       fx.shot_pres, 2, &out));
   // iter0: Interview, Outro rejected-narrow vs U2; iter1: Bach contains
   // Outro [64,94], so Intro and Interview remain.

@@ -41,14 +41,11 @@ static void TestLoopLiftedBeatsBasicAt200Iterations() {
   so::RegionIndex index = so::RegionIndex::FromEntries(std::move(entries));
 
   std::vector<IterRegion> context;
-  std::vector<uint32_t> ann_iters;
   std::vector<std::vector<so::AreaAnnotation>> context_per_iter(iters);
   const int64_t width = universe / iters;
   for (uint32_t it = 0; it < iters; ++it) {
     const int64_t start = static_cast<int64_t>(it) * width;
-    const uint32_t ann = static_cast<uint32_t>(ann_iters.size());
-    ann_iters.push_back(it);
-    context.push_back(IterRegion{it, start, start + width, ann});
+    context.push_back(IterRegion{it, start, start + width});
     context_per_iter[it].push_back(
         so::AreaAnnotation{0, {{start, start + width}}});
   }
@@ -62,7 +59,7 @@ static void TestLoopLiftedBeatsBasicAt200Iterations() {
   const double lifted_begin = CpuSeconds();
   for (int rep = 0; rep < 3; ++rep) {
     CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-        so::StandoffOp::kSelectNarrow, context, ann_iters, index.columns(),
+        so::StandoffOp::kSelectNarrow, context, index.columns(),
         index.annotated_ids(), iters, &lifted, options));
     lifted_rows = lifted.size();
   }

@@ -47,9 +47,7 @@ void ContextOf(const so::RegionIndex& index, ChainSpec* spec) {
   spec->iter_count = static_cast<uint32_t>(ids.size());
   for (uint32_t i = 0; i < spec->iter_count; ++i) {
     index.ForEachRegionOf(ids[i], [&](int64_t start, int64_t end) {
-      const uint32_t ann = static_cast<uint32_t>(spec->ann_iters.size());
-      spec->ann_iters.push_back(i);
-      spec->context.push_back(IterRegion{i, start, end, ann});
+      spec->context.push_back(IterRegion{i, start, end});
     });
   }
   std::vector<int64_t> starts, ends;
@@ -487,11 +485,10 @@ static void TestSubPlanMemoLruAndCounters() {
 }
 
 static void TestSubPlanMemoCollisions() {
-  // With every hash collapsed into one bucket, distinct keys must still
-  // resolve to their own entries — the full-key compare, not the hash,
-  // carries correctness.
+  // Distinct keys that differ only in their tails, as the prefixes of
+  // one chain do, must resolve to their own entries: a hit is an equal
+  // key, never merely an equal hash.
   so::SubPlanMemo memo(8);
-  memo.set_collide_for_test(true);
   for (Pre id = 1; id <= 5; ++id) {
     auto e = std::make_shared<so::SubPlanMemo::Entry>();
     e->matches.push_back(IterMatch{0, id});
@@ -503,9 +500,8 @@ static void TestSubPlanMemoCollisions() {
     if (hit) CHECK_EQ(hit->matches[0].pre, id);
   }
   CHECK(memo.Lookup("key-9") == nullptr);
-  // Eviction under collision keeps the remaining entries reachable.
+  // Eviction keeps the remaining entries reachable.
   so::SubPlanMemo tiny(2);
-  tiny.set_collide_for_test(true);
   for (Pre id = 1; id <= 4; ++id) {
     auto e = std::make_shared<so::SubPlanMemo::Entry>();
     e->matches.push_back(IterMatch{0, id});

@@ -35,11 +35,9 @@ static void TestPushdownEquivalence() {
   CHECK_EQ(needle_pres.size(), 50u);
 
   std::vector<so::IterRegion> context;
-  std::vector<uint32_t> ann_iters;
   for (uint32_t i = 0; i < 16; ++i) {
     int64_t start = rng.UniformRange(0, 9000);
-    context.push_back(so::IterRegion{i, start, start + 1500, i});
-    ann_iters.push_back(i);
+    context.push_back(so::IterRegion{i, start, start + 1500});
   }
 
   // (a) pushdown: intersect first, join the small sequence.
@@ -48,13 +46,13 @@ static void TestPushdownEquivalence() {
   CHECK_EQ(candidates.size(), 50u);
   std::vector<IterMatch> pushed;
   CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kSelectNarrow, context, ann_iters, candidates.View(),
+      so::StandoffOp::kSelectNarrow, context, candidates.View(),
       needle_pres, 16, &pushed));
 
   // (b) no pushdown: join everything, filter by name afterwards.
   std::vector<IterMatch> full;
   CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kSelectNarrow, context, ann_iters, (*index)->columns(),
+      so::StandoffOp::kSelectNarrow, context, (*index)->columns(),
       (*index)->annotated_ids(), 16, &full));
   std::vector<IterMatch> filtered;
   for (const IterMatch& m : full) {
@@ -66,11 +64,11 @@ static void TestPushdownEquivalence() {
   // universe.
   std::vector<IterMatch> pushed_reject;
   CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kRejectNarrow, context, ann_iters, candidates.View(),
+      so::StandoffOp::kRejectNarrow, context, candidates.View(),
       needle_pres, 16, &pushed_reject));
   std::vector<IterMatch> full_reject;
   CHECK_OK(so::LoopLiftedStandoffJoinColumns(
-      so::StandoffOp::kRejectNarrow, context, ann_iters, (*index)->columns(),
+      so::StandoffOp::kRejectNarrow, context, (*index)->columns(),
       (*index)->annotated_ids(), 16, &full_reject));
   std::vector<IterMatch> filtered_reject;
   for (const IterMatch& m : full_reject) {

@@ -137,8 +137,8 @@ static void TestZeroWorkerPoolRunsInline() {
 }
 
 static void TestUnbalancedWorkCompletes() {
-  // Work stealing: a few heavy indices next to many light ones must
-  // still visit everything exactly once.
+  // Uneven per-index cost: a few heavy indices next to many light ones
+  // must still visit everything exactly once.
   ThreadPool pool(4);
   constexpr size_t kN = 256;
   std::vector<std::atomic<int>> counts(kN);

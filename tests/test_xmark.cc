@@ -5,7 +5,6 @@
 #include "xmark/generator.h"
 #include "xmark/queries.h"
 #include "xmark/standoff_transform.h"
-#include "xml/dom.h"
 
 using namespace standoff;
 
@@ -94,20 +93,31 @@ static void TestTransformSmallExample() {
   CHECK_OK(doc);
   // Blob: open(a) open(b) "hi" close(b) open(c) close(c) close(a).
   CHECK_EQ(doc->blob, std::string("\n\nhi\n\n\n\n"));
-  auto parsed = xml::Parse(doc->xml);
-  CHECK_OK(parsed);
-  CHECK_EQ(parsed->root.name, std::string("a"));
-  CHECK_EQ(parsed->root.FindAttr("x"), std::string_view("1"));
-  CHECK_EQ(parsed->root.FindAttr("start"), std::string_view("0"));
-  CHECK_EQ(parsed->root.FindAttr("end"), std::string_view("7"));
-  CHECK_EQ(parsed->root.children.size(), 2u);
-  const xml::Node& b = parsed->root.children[0];
-  CHECK_EQ(b.name, std::string("b"));
-  CHECK_EQ(b.FindAttr("start"), std::string_view("1"));
-  CHECK_EQ(b.FindAttr("end"), std::string_view("4"));
-  const xml::Node& c = parsed->root.children[1];
-  CHECK_EQ(c.FindAttr("start"), std::string_view("5"));
-  CHECK_EQ(c.FindAttr("end"), std::string_view("6"));
+  storage::DocumentStore store;
+  CHECK_OK(store.AddDocumentText("so.xml", doc->xml));
+  const storage::NodeTable& table = store.table(0);
+  const auto name = [&](storage::Pre pre) {
+    return store.names().name(table.name(pre));
+  };
+  const auto attr = [&](storage::Pre pre, std::string_view attr_name) {
+    return table.FindAttribute(pre, store.names().Lookup(attr_name)).second;
+  };
+  // Flat: the root element holds one empty element per nested node.
+  CHECK_EQ(table.size(), 4u);
+  CHECK_EQ(name(1), std::string_view("a"));
+  CHECK_EQ(attr(1, "x"), std::string_view("1"));
+  CHECK_EQ(attr(1, "start"), std::string_view("0"));
+  CHECK_EQ(attr(1, "end"), std::string_view("7"));
+  CHECK_EQ(table.subtree_size(1), 2u);
+  CHECK_EQ(name(2), std::string_view("b"));
+  CHECK_EQ(table.parent(2), 1u);
+  CHECK_EQ(table.subtree_size(2), 0u);
+  CHECK_EQ(attr(2, "start"), std::string_view("1"));
+  CHECK_EQ(attr(2, "end"), std::string_view("4"));
+  CHECK_EQ(name(3), std::string_view("c"));
+  CHECK_EQ(table.parent(3), 1u);
+  CHECK_EQ(attr(3, "start"), std::string_view("5"));
+  CHECK_EQ(attr(3, "end"), std::string_view("6"));
 }
 
 static void TestQuerySet() {
