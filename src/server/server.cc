@@ -249,6 +249,8 @@ ServerStats Server::stats() const {
     out.wal_truncated_bytes = wal_truncated_bytes_;
   }
   out.auto_compactions = auto_compactions_.load(std::memory_order_relaxed);
+  out.engine_rebuilds = engine_rebuilds_.load(std::memory_order_relaxed);
+  out.engine_rebases = engine_rebases_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -452,7 +454,8 @@ bool Server::HandleQuery(int fd, ConnState* conn, const std::string& text) {
   // compaction, or swaps do meanwhile. MutableStore hands out the SAME
   // view object until a write, swap or compaction replaces it, and the
   // connection's reference keeps the old one alive, so pointer
-  // equality means "nothing changed" and the warm engine is reused.
+  // equality means "nothing changed" and the warm engine is reused
+  // as it is.
   uint64_t generation = 0;
   std::shared_ptr<const storage::DeltaStoreView> view;
   {
@@ -461,13 +464,23 @@ bool Server::HandleQuery(int fd, ConnState* conn, const std::string& text) {
     view = mutable_store_->View();
   }
   if (conn->view != view) {
-    // First query after a swap, compaction, or delta write (or ever):
-    // rebuild the engine over the new view. The old view's reference
-    // drops here — this is where an idle connection releases the
-    // previous mapping.
-    xquery::EngineOptions options;
-    options.timeout_seconds = config_.query_timeout_seconds;
-    conn->engine = std::make_unique<xquery::BatchEngine>(view.get(), options);
+    if (conn->engine && conn->view->base() == view->base()) {
+      // Only delta runs differ (another write): carry the engine over,
+      // dropping just what the writes in between could have changed.
+      // Rebase reads the old view, which the connection still pins.
+      conn->engine->Rebase(view.get());
+      engine_rebases_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      // First query ever, or after a swap or compaction (a new base):
+      // build a fresh engine over the new view.
+      xquery::EngineOptions options;
+      options.timeout_seconds = config_.query_timeout_seconds;
+      conn->engine =
+          std::make_unique<xquery::BatchEngine>(view.get(), options);
+      engine_rebuilds_.fetch_add(1, std::memory_order_relaxed);
+    }
+    // The old view's reference drops here — this is where an idle
+    // connection releases the previous mapping.
     conn->view = std::move(view);
   }
 

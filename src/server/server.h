@@ -113,6 +113,11 @@ struct ServerStats {
   uint64_t wal_replayed_ops = 0;
   uint64_t wal_truncated_bytes = 0;
   uint64_t auto_compactions = 0;
+  /// Per-connection engine turnover on a new view: a fresh engine (a
+  /// connection's first query, or a new base after a swap or
+  /// compaction) vs one carried over a delta write by Rebase.
+  uint64_t engine_rebuilds = 0;
+  uint64_t engine_rebases = 0;
 };
 
 /// One ServerStats counter: its wire/CLI name and its member.
@@ -144,6 +149,8 @@ inline constexpr ServerStatsField kServerStatsFields[] = {
     {"wal_replayed_ops", &ServerStats::wal_replayed_ops},
     {"wal_truncated_bytes", &ServerStats::wal_truncated_bytes},
     {"auto_compactions", &ServerStats::auto_compactions},
+    {"engine_rebuilds", &ServerStats::engine_rebuilds},
+    {"engine_rebases", &ServerStats::engine_rebases},
 };
 
 /// Bounded admission: TryEnter either reserves a slot or reports the
@@ -274,6 +281,8 @@ class Server {
   std::atomic<uint64_t> subplan_misses_{0};
   std::atomic<uint64_t> subplan_evictions_{0};
   std::atomic<uint64_t> auto_compactions_{0};
+  std::atomic<uint64_t> engine_rebuilds_{0};
+  std::atomic<uint64_t> engine_rebases_{0};
 };
 
 }  // namespace server

@@ -46,7 +46,8 @@
 //                  delta_inserts, delta_deletes, delta_live_rows,
 //                  delta_live_tombstones, compactions, wal_appends,
 //                  wal_fsyncs, wal_replayed_ops, wal_truncated_bytes,
-//                  auto_compactions (19 fields, kServerStatsFields
+//                  auto_compactions, engine_rebuilds,
+//                  engine_rebases (21 fields, kServerStatsFields
 //                  in server.h). Fields are
 //                  parsed by offset, so versions only ever APPEND
 //                  fields: an old client reads its prefix and ignores

@@ -450,5 +450,16 @@ void SubPlanMemo::Clear() {
   lru_.clear();
 }
 
+void SubPlanMemo::EraseIf(const std::function<bool(const Entry&)>& drop) {
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (drop(*it->entry)) {
+      by_key_.erase(it->key);
+      it = lru_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
 }  // namespace so
 }  // namespace standoff

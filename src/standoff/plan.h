@@ -149,8 +149,19 @@ struct ChainStats {
 /// — each engine owns one and probes it from one thread at a time.
 class SubPlanMemo {
  public:
+  /// What a sub-plan result was computed from: one (document, config
+  /// fingerprint) region index and the element names of its context and
+  /// steps. A rebase onto a new delta view keeps the entry unless a
+  /// write to that key carried one of these names (Engine::Rebase).
+  struct Reads {
+    storage::DocId doc = 0;
+    std::string fingerprint;
+    bool all_names = false;  // the context or a step is `*`
+    std::vector<storage::NameId> names;
+  };
   struct Entry {
     std::vector<IterMatch> matches;  // the sub-plan's final matches
+    Reads reads;
   };
 
   explicit SubPlanMemo(size_t capacity = 256)
@@ -162,6 +173,8 @@ class SubPlanMemo {
   /// entry when over capacity.
   void Insert(const std::string& key, std::shared_ptr<const Entry> entry);
   void Clear();
+  /// Erases every entry `drop` accepts; these are not evictions.
+  void EraseIf(const std::function<bool(const Entry&)>& drop);
 
   size_t size() const { return lru_.size(); }
   size_t capacity() const { return capacity_; }

@@ -1,7 +1,9 @@
 #include "xquery/engine.h"
 
 #include <algorithm>
+#include <optional>
 
+#include "storage/delta.h"
 #include "xquery/parser.h"
 
 namespace standoff {
@@ -328,12 +330,16 @@ StatusOr<const so::RegionIndex*> Engine::GetIndex(storage::DocId doc) {
   return index_cache_.Get(*store_, doc, standoff_config_);
 }
 
+Engine::KeyState& Engine::StateOf(storage::DocId doc) {
+  return key_state_[std::make_pair(doc,
+                                   so::ConfigFingerprint(standoff_config_))];
+}
+
 StatusOr<const Engine::CandidateSet*> Engine::GetCandidates(
     storage::DocId doc, const std::string& name) {
-  const std::string key_name = name + "|" + standoff_config_.type;
-  const auto key = std::make_pair(doc, key_name);
-  auto it = candidate_cache_.find(key);
-  if (it != candidate_cache_.end()) return &it->second;
+  std::map<std::string, CandidateSet>& candidates = StateOf(doc).candidates;
+  auto it = candidates.find(name);
+  if (it != candidates.end()) return &it->second;
   StatusOr<const so::RegionIndex*> index = GetIndex(doc);
   if (!index.ok()) return index.status();
   const storage::Span<storage::Pre> name_pres =
@@ -347,23 +353,17 @@ StatusOr<const Engine::CandidateSet*> Engine::GetCandidates(
   set.stats = storage::RegionStats::Compute(set.entries.start().data(),
                                             set.entries.end().data(),
                                             set.entries.size());
-  auto inserted = candidate_cache_.emplace(key, std::move(set));
-  return &inserted.first->second;
+  return &candidates.emplace(name, std::move(set)).first->second;
 }
 
 const storage::RegionStats* Engine::GetIndexStats(
     storage::DocId doc, const so::RegionIndex& index) {
-  auto key = std::make_pair(doc, so::ConfigFingerprint(standoff_config_));
-  auto it = index_stats_cache_.find(key);
-  if (it == index_stats_cache_.end()) {
+  std::optional<storage::RegionStats>& stats = StateOf(doc).index_stats;
+  if (!stats) {
     const so::RegionColumns cols = index.columns();
-    it = index_stats_cache_
-             .emplace(std::move(key),
-                      storage::RegionStats::Compute(cols.start, cols.end,
-                                                    cols.size))
-             .first;
+    stats = storage::RegionStats::Compute(cols.start, cols.end, cols.size);
   }
-  return &it->second;
+  return &*stats;
 }
 
 StatusOr<so::ChainLayer> Engine::GetChainLayer(storage::DocId doc,
@@ -513,7 +513,7 @@ StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
       keys[k] = prefix;
     }
     STANDOFF_RETURN_IF_ERROR(
-        EvaluateChainShared(spec, **index, keys, exec, &result));
+        EvaluateChainShared(query, spec, **index, keys, exec, &result));
     return result;
   }
   STANDOFF_RETURN_IF_ERROR(so::ExecuteChain(spec, result.plan, exec,
@@ -521,7 +521,27 @@ StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
   return result;
 }
 
-Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
+so::SubPlanMemo::Reads Engine::PrefixReads(const ChainQuery& query,
+                                           size_t last) const {
+  so::SubPlanMemo::Reads reads;
+  reads.doc = query.doc;
+  reads.fingerprint = so::ConfigFingerprint(standoff_config_);
+  const auto read = [&](bool any_name, const std::string& name) {
+    if (any_name) {
+      reads.all_names = true;
+    } else {
+      reads.names.push_back(store_->names().Lookup(name));
+    }
+  };
+  read(query.context_any, query.context_name);
+  for (size_t k = 0; k <= last; ++k) {
+    read(query.steps[k].any_name, query.steps[k].name);
+  }
+  return reads;
+}
+
+Status Engine::EvaluateChainShared(const ChainQuery& query,
+                                   const so::ChainSpec& spec,
                                    const so::RegionIndex& index,
                                    const std::vector<std::string>& keys,
                                    const so::ChainExecOptions& exec,
@@ -579,6 +599,7 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
       total.composed_matches += stats.composed_matches;
       auto entry = std::make_shared<so::SubPlanMemo::Entry>();
       entry->matches = matches;
+      entry->reads = PrefixReads(query, n - 1);
       memo->Insert(keys[n - 1], std::move(entry));
     } else {
       // Top-down: run edge by edge — exactly what ExecuteChain's
@@ -603,6 +624,7 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
         total.context_rows_total += stats.context_rows_total;
         auto entry = std::make_shared<so::SubPlanMemo::Entry>();
         entry->matches = matches;
+        entry->reads = PrefixReads(query, e);
         memo->Insert(keys[e], std::move(entry));
       }
     }
@@ -614,6 +636,86 @@ Status Engine::EvaluateChainShared(const so::ChainSpec& spec,
   total.memo_evictions = memo->evictions() - evictions0;
   result->stats = total;
   return Status::OK();
+}
+
+namespace {
+
+/// Appends the names of the element ids `run` (may be null) inserts or
+/// tombstones. A tombstone may name a non-element (a delete is only
+/// checked for its document); regions annotate elements, so it hides
+/// nothing and adds no name.
+void AddRunNames(const storage::DeltaRun* run, const storage::NodeTable& table,
+                 std::vector<storage::NameId>* names) {
+  if (run == nullptr) return;
+  const auto add = [&](storage::Pre id) {
+    if (id < table.size() && table.IsElement(id)) {
+      names->push_back(table.name(id));
+    }
+  };
+  for (const storage::DeltaInsert& insert : run->inserts) add(insert.id);
+  for (const storage::DeltaTombstone& tomb : run->tombstones) add(tomb.id);
+}
+
+}  // namespace
+
+void Engine::Rebase(const storage::StoreView* next) {
+  // Per (document, config) key, on first ask: null when the key's run is
+  // the same object in both views, so nothing under it changed; else
+  // the sorted names of every id either run names. A region set
+  // restricted to any other name is the base's in both views.
+  std::map<std::pair<storage::DocId, std::string>,
+           std::optional<std::vector<storage::NameId>>>
+      dirty;
+  const auto dirty_names = [&](storage::DocId doc, const std::string& fp)
+      -> const std::vector<storage::NameId>* {
+    auto [it, fresh] = dirty.try_emplace(std::make_pair(doc, fp));
+    if (fresh) {
+      const std::shared_ptr<const storage::DeltaRun> before =
+          store_->delta_run(doc, fp);
+      const std::shared_ptr<const storage::DeltaRun> after =
+          next->delta_run(doc, fp);
+      if (before != after) {
+        std::vector<storage::NameId>& names = it->second.emplace();
+        AddRunNames(before.get(), next->table(doc), &names);
+        AddRunNames(after.get(), next->table(doc), &names);
+        std::sort(names.begin(), names.end());
+        names.erase(std::unique(names.begin(), names.end()), names.end());
+      }
+    }
+    return it->second ? &*it->second : nullptr;
+  };
+  const auto reads_dirty = [](const std::vector<storage::NameId>& names,
+                              storage::NameId name) {
+    return std::binary_search(names.begin(), names.end(), name);
+  };
+
+  for (auto& [key, state] : key_state_) {
+    const std::vector<storage::NameId>* names =
+        dirty_names(key.first, key.second);
+    if (names == nullptr) continue;
+    state.index_stats.reset();  // whole-index stats read every name
+    for (auto it = state.candidates.begin(); it != state.candidates.end();) {
+      if (reads_dirty(*names, next->names().Lookup(it->first))) {
+        it = state.candidates.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  if (subplan_memo_) {
+    subplan_memo_->EraseIf([&](const so::SubPlanMemo::Entry& entry) {
+      const so::SubPlanMemo::Reads& reads = entry.reads;
+      const std::vector<storage::NameId>* names =
+          dirty_names(reads.doc, reads.fingerprint);
+      return names != nullptr &&
+             (reads.all_names ||
+              std::any_of(reads.names.begin(), reads.names.end(),
+                          [&](storage::NameId name) {
+                            return reads_dirty(*names, name);
+                          }));
+    });
+  }
+  store_ = next;
 }
 
 BatchEngine::BatchEngine(const storage::StoreView* store,
@@ -629,6 +731,13 @@ Engine* BatchEngine::shard_engine(uint32_t shard) {
     *engines_[shard]->mutable_options() = options_;
   }
   return engines_[shard].get();
+}
+
+void BatchEngine::Rebase(const storage::StoreView* next) {
+  store_ = next;
+  for (const auto& engine : engines_) {
+    if (engine) engine->Rebase(next);
+  }
 }
 
 SubPlanMemoStats BatchEngine::memo_stats() const {

@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,6 +139,16 @@ class Engine {
   /// PlanChain / ExecuteChain over the cached layers.
   StatusOr<ChainResult> EvaluateChain(const ChainQuery& query);
 
+  /// Re-points the engine at `next`, a view over the SAME base as the
+  /// current store whose delta runs may differ (DESIGN.md §15). Cached
+  /// state under a (document, config) key survives when the key's run is
+  /// the same object in both views. Otherwise the whole-index stats and
+  /// `*` memo entries drop, and so do the candidate sets and memo entries
+  /// that read an element name carried by an id in either run; the rest
+  /// is exact as it stands. The current store must stay alive until this
+  /// returns: it is read to compare the runs.
+  void Rebase(const storage::StoreView* next);
+
   void set_standoff_mode(StandoffMode mode) { mode_ = mode; }
   StandoffMode standoff_mode() const { return mode_; }
   EngineOptions* mutable_options() { return &options_; }
@@ -182,12 +193,21 @@ class Engine {
   StatusOr<const so::RegionIndex*> GetIndex(storage::DocId doc);
 
   /// Name-test pushdown: cached (columns ∩ name, ids ∩ name) per
-  /// (doc, name). any_name uses the full index.
+  /// (doc, config, name). any_name uses the full index.
   struct CandidateSet {
     so::RegionColumnsData entries;
     std::vector<storage::Pre> ids;
     storage::RegionStats stats;
   };
+  /// What the engine derives from one (document, config fingerprint)
+  /// region index, the unit Rebase invalidates: the whole-index stats
+  /// (every name) and the candidate sets by element name.
+  struct KeyState {
+    std::optional<storage::RegionStats> index_stats;
+    std::map<std::string, CandidateSet> candidates;
+  };
+  /// `doc`'s state under the current standoff config.
+  KeyState& StateOf(storage::DocId doc);
   StatusOr<const CandidateSet*> GetCandidates(storage::DocId doc,
                                               const std::string& name);
 
@@ -213,11 +233,17 @@ class Engine {
   /// the cached result's real cardinalities), and populate the memo
   /// with every newly evaluated prefix. `keys[k]` is the canonical key
   /// of the prefix ending at edge k.
-  Status EvaluateChainShared(const so::ChainSpec& spec,
+  Status EvaluateChainShared(const ChainQuery& query,
+                             const so::ChainSpec& spec,
                              const so::RegionIndex& index,
                              const std::vector<std::string>& keys,
                              const so::ChainExecOptions& exec,
                              ChainResult* result);
+
+  /// What the prefix of `query` ending at edge `last` reads, recorded
+  /// on its memo entry for Rebase.
+  so::SubPlanMemo::Reads PrefixReads(const ChainQuery& query,
+                                     size_t last) const;
 
   /// The single downward derivation of the options scheme: expands
   /// EngineOptions into the kernel knobs, the engine's merge arena and
@@ -230,14 +256,11 @@ class Engine {
   EngineOptions options_;
   so::StandoffConfig standoff_config_;
   so::RegionIndexCache index_cache_;
-  std::map<std::pair<storage::DocId, std::string>, CandidateSet>
-      candidate_cache_;
+  std::map<std::pair<storage::DocId, std::string>, KeyState> key_state_;
   /// Merge scratch for every join the engine runs (one at a time; no
   /// join runs inside another), so a warmed engine runs its merge
   /// passes allocation-free.
   so::JoinArena arena_;
-  std::map<std::pair<storage::DocId, std::string>, storage::RegionStats>
-      index_stats_cache_;
   std::unique_ptr<so::SubPlanMemo> subplan_memo_;
   Timer deadline_timer_;
   double deadline_seconds_ = 0;  // active budget for the running Evaluate
@@ -260,7 +283,8 @@ struct SubPlanMemoStats {
 /// One persistent Engine per document shard of a store: a query on
 /// document `doc` runs on `shard_engine(store->shard_of(doc))`, whose
 /// region indexes, candidate sets, merge arena and sub-plan memo carry
-/// across queries. This is the server's per-connection read state.
+/// across queries, and across writes through Rebase. This is the
+/// server's per-connection read state.
 class BatchEngine {
  public:
   /// `store` supplies the shard map through the StoreView interface; a
@@ -271,6 +295,10 @@ class BatchEngine {
   /// The per-shard engine (created on first use); null for a shard the
   /// store does not have.
   Engine* shard_engine(uint32_t shard);
+
+  /// Engine::Rebase on every shard engine created so far; `next` must
+  /// share the current store's base.
+  void Rebase(const storage::StoreView* next);
 
   /// Sums memo counters over the shard engines created so far.
   SubPlanMemoStats memo_stats() const;

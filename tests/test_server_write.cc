@@ -5,7 +5,9 @@
 // manual hot-swap dropping pending deltas, unknown-frame handling
 // (the forward-compatibility story for old servers), hostile frame
 // lengths, WAL boot recovery across a restart, read-only degradation
-// under injected WAL failures, and threshold-triggered auto-compaction.
+// under injected WAL failures, threshold-triggered auto-compaction, and
+// a connection's engine carried across other clients' writes (rebased)
+// or rebuilt after a compaction or swap, equal to a fresh engine.
 // Runs under ASan/TSan in the sanitizer CI jobs.
 #include <sys/socket.h>
 #include <unistd.h>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "server/client.h"
+#include "server/query_text.h"
 #include "server/server.h"
 #include "server/wire.h"
 #include "standoff/region_index.h"
@@ -160,6 +163,34 @@ void ExpectQueryMatches(server::Client* client, const std::string& oracle_xml) {
   }
 }
 
+/// `text` over the server's current view, on a fresh engine.
+xquery::ChainResult FreshChain(server::Server* srv, const std::string& text) {
+  auto parsed = server::ParseQueryText(text);
+  CHECK_OK(parsed);
+  if (!parsed.ok()) return {};
+  auto view = srv->mutable_store()->View();
+  xquery::Engine engine(view.get());
+  auto result = engine.EvaluateChain(parsed->chain);
+  CHECK_OK(result);
+  return result.ok() ? std::move(*result) : xquery::ChainResult{};
+}
+
+/// Runs `text` on `client` and checks the reply against FreshChain;
+/// returns the number of matches.
+size_t ExpectFreshReply(server::Client* client, server::Server* srv,
+                        const std::string& text) {
+  auto reply = client->Query(text);
+  CHECK_OK(reply);
+  if (!reply.ok()) return 0;
+  std::vector<Pre> context_ids;
+  std::vector<so::IterMatch> matches;
+  DecodePayload(reply->payload, &context_ids, &matches);
+  const xquery::ChainResult want = FreshChain(srv, text);
+  CHECK(context_ids == want.context_ids);
+  CHECK(matches == want.matches);
+  return matches.size();
+}
+
 }  // namespace
 
 static void TestHelloVersionExchange() {
@@ -276,6 +307,45 @@ static void TestSwapDropsPendingDeltas() {
   CHECK_OK(after);
   CHECK_EQ(after->delta_live_rows, uint64_t{0});
   ExpectQueryMatches(client.get(), CorpusXml());
+}
+
+static void TestEngineCarriedAcrossWrites() {
+  WriteFixture fx("write_rebase");
+  auto reader = fx.Connect();
+  auto writer = fx.Connect();
+  // The reader's chain reads scene and speech, never word.
+  const std::string chain =
+      "chain doc=0 ctx=scene steps=select-narrow:speech";
+  CHECK_EQ(ExpectFreshReply(reader.get(), fx.srv.get(), chain), size_t{2});
+  CHECK_EQ(ExpectFreshReply(reader.get(), fx.srv.get(), chain), size_t{2});
+  const server::ServerStats warm = fx.srv->stats();
+  CHECK_EQ(warm.engine_rebuilds, uint64_t{1});  // the reader's first query
+
+  // A write to a name the chain does not read: the reader's engine is
+  // rebased, and its memo entry survives.
+  CHECK_OK(writer->InsertRegion(0, kBareWord1, 140, 160));
+  CHECK_EQ(ExpectFreshReply(reader.get(), fx.srv.get(), chain), size_t{2});
+  const server::ServerStats carried = fx.srv->stats();
+  CHECK_EQ(carried.engine_rebases, warm.engine_rebases + 1);
+  CHECK_EQ(carried.engine_rebuilds, warm.engine_rebuilds);
+  CHECK(carried.subplan_hits > warm.subplan_hits);
+
+  // A write to a name it reads: the entry drops and the reply shows it.
+  CHECK_OK(writer->DeleteRegions(0, kSpeech2));
+  CHECK_EQ(ExpectFreshReply(reader.get(), fx.srv.get(), chain), size_t{1});
+  CHECK_EQ(fx.srv->stats().engine_rebases, carried.engine_rebases + 1);
+
+  // A compaction and a swap publish new bases: the engine is rebuilt.
+  const std::string gen2 = TempPath("write_rebase_gen2");
+  CHECK_OK(writer->Compact(gen2));
+  CHECK_OK(writer->InsertRegion(0, kBareWord2, 520, 525));
+  CHECK_EQ(ExpectFreshReply(reader.get(), fx.srv.get(), chain), size_t{1});
+  const server::ServerStats compacted = fx.srv->stats();
+  CHECK_EQ(compacted.engine_rebuilds, carried.engine_rebuilds + 1);
+  CHECK_OK(writer->Swap(fx.path));
+  CHECK_EQ(ExpectFreshReply(reader.get(), fx.srv.get(), chain), size_t{2});
+  CHECK_EQ(fx.srv->stats().engine_rebuilds, compacted.engine_rebuilds + 1);
+  std::remove(gen2.c_str());
 }
 
 static void TestWriteValidationOverWire() {
@@ -502,6 +572,7 @@ int main() {
   RUN_TEST(TestWriteQueryCompactQuery);
   RUN_TEST(TestServerChosenCompactionPath);
   RUN_TEST(TestSwapDropsPendingDeltas);
+  RUN_TEST(TestEngineCarriedAcrossWrites);
   RUN_TEST(TestWriteValidationOverWire);
   RUN_TEST(TestUnknownFrameTypeIsClientSafe);
   RUN_TEST(TestHostileFrameLengthIsRejected);
