@@ -1,7 +1,7 @@
 // The multi-predicate chain planner and the server's query dispatch.
 // Every engine-level row runs its queries the way a server connection
-// does: in query order, each on shard_engine(store->shard_of(doc)) of
-// one warmed BatchEngine.
+// does: in query order, on one warmed Engine over documents of every
+// shard.
 //
 //   * BM_ChainOrder — the same 3-layer containment chain executed
 //     top-down, bottom-up-last, and as planned (kAuto), on a workload
@@ -9,9 +9,9 @@
 //     planned time should track the better order, not the worse.
 //   * BM_ChainQueries — N chain queries over a sharded corpus: fresh
 //     engines per query (the un-amortized baseline) vs a warmed
-//     BatchEngine (shared indexes, candidate sets, arena, memo).
+//     Engine (shared indexes, candidate sets, arena, memo).
 //   * BM_BatchOverlapMix — an overlapping query mix (repeats + shared
-//     predicate prefixes) through the same warmed BatchEngine with
+//     predicate prefixes) through the same warmed Engine with
 //     sub-plan sharing off vs on; the regression gate holds the shared
 //     run at >= 1.3x the unshared one, and the memo's hit/miss/evict
 //     counters are reported.
@@ -22,9 +22,12 @@
 //     preloaded ones and never rebuilt from node tables. The 0-delta
 //     row is the mutable-store "free when unused" claim (DESIGN.md
 //     §15): the regression gate holds it within 10% of the pure-base
-//     row. The post-write row (third arg 1) times what a server
-//     connection pays for its first query after a write: one insert
-//     into a queried document, the connection's BatchEngine rebased
+//     row. The warm rows are measured in alternating slices of one
+//     window (minibench's Interleave()), so host-speed drift lands on
+//     both sides of that ratio alike. The post-write row (third arg 1),
+//     registered on its own, times what a server connection pays for
+//     its first query after a write: one insert into a queried
+//     document, the connection's Engine rebased
 //     onto the new view (the written key re-merged; candidate sets and
 //     memo entries the write could not change kept), and one pass of
 //     the batch. Its `vs_warm_x` counter is that pass's time over a
@@ -179,15 +182,13 @@ std::string PlayXml(int scenes) {
 }
 
 /// One pass of the server's dispatch: every query, in query order, on
-/// the engine of its document's shard.
+/// the connection's engine.
 std::vector<StatusOr<xquery::ChainResult>> RunQueries(
-    xquery::BatchEngine* engine, const storage::StoreView& store,
-    const std::vector<xquery::ChainQuery>& queries) {
+    xquery::Engine* engine, const std::vector<xquery::ChainQuery>& queries) {
   std::vector<StatusOr<xquery::ChainResult>> results;
   results.reserve(queries.size());
   for (const xquery::ChainQuery& query : queries) {
-    results.push_back(
-        engine->shard_engine(store.shard_of(query.doc))->EvaluateChain(query));
+    results.push_back(engine->EvaluateChain(query));
   }
   return results;
 }
@@ -228,15 +229,13 @@ void BM_ChainQueries(benchmark::State& state) {
       queries.push_back(std::move(query));
     }
   }
-  xquery::EngineOptions options;
-  xquery::BatchEngine engine(&store, options);
-  (void)RunQueries(&engine, store, queries);  // warm caches and memo
+  xquery::Engine engine(&store);
+  (void)RunQueries(&engine, queries);  // warm caches and memo
   size_t matches = 0;
   for (auto _ : state) {
     matches = 0;
     if (batched) {
-      if (!CountMatches(state, RunQueries(&engine, store, queries),
-                        &matches)) {
+      if (!CountMatches(state, RunQueries(&engine, queries), &matches)) {
         return;
       }
     } else {
@@ -286,7 +285,7 @@ std::vector<xquery::ChainQuery> OverlapMixQueries(
   return queries;
 }
 
-/// Args: {share}. The overlapping mix through a warmed BatchEngine with
+/// Args: {share}. The overlapping mix through a warmed Engine with
 /// sub-plan sharing on vs off — the within-run pair the regression gate
 /// holds at >= 1.3x. A one-time cross-check pins byte-identity between
 /// the two settings before timing starts.
@@ -304,18 +303,16 @@ void BM_BatchOverlapMix(benchmark::State& state) {
   }
   const std::vector<xquery::ChainQuery> queries = OverlapMixQueries(docs);
 
-  xquery::EngineOptions options;
-  options.share_subplans = share;
-  xquery::BatchEngine engine(&store, options);
+  xquery::Engine engine(&store);
+  engine.mutable_options()->share_subplans = share;
 
   {
     // Byte-identity cross-check against the opposite sharing setting,
     // once per benchmark registration.
-    xquery::EngineOptions other = options;
-    other.share_subplans = !share;
-    xquery::BatchEngine reference(&store, other);
-    const auto got = RunQueries(&engine, store, queries);  // also warms
-    const auto want = RunQueries(&reference, store, queries);
+    xquery::Engine reference(&store);
+    reference.mutable_options()->share_subplans = !share;
+    const auto got = RunQueries(&engine, queries);  // also warms
+    const auto want = RunQueries(&reference, queries);
     for (size_t i = 0; i < queries.size(); ++i) {
       if (!got[i].ok() || !want[i].ok() ||
           !(got[i]->matches == want[i]->matches)) {
@@ -328,7 +325,7 @@ void BM_BatchOverlapMix(benchmark::State& state) {
   size_t matches = 0;
   for (auto _ : state) {
     matches = 0;
-    if (!CountMatches(state, RunQueries(&engine, store, queries), &matches)) {
+    if (!CountMatches(state, RunQueries(&engine, queries), &matches)) {
       return;
     }
   }
@@ -336,16 +333,16 @@ void BM_BatchOverlapMix(benchmark::State& state) {
   state.counters["queries_per_s"] = benchmark::Counter(
       static_cast<double>(queries.size()) * state.iterations(),
       benchmark::Counter::kIsRate);
-  const xquery::SubPlanMemoStats memo = engine.memo_stats();
-  state.counters["subplan_hits"] = static_cast<double>(memo.hits);
-  state.counters["subplan_misses"] = static_cast<double>(memo.misses);
-  state.counters["subplan_evictions"] = static_cast<double>(memo.evictions);
-  state.counters["subplan_entries"] = static_cast<double>(memo.entries);
+  const so::SubPlanMemo& memo = *engine.subplan_memo();
+  state.counters["subplan_hits"] = static_cast<double>(memo.hits());
+  state.counters["subplan_misses"] = static_cast<double>(memo.misses());
+  state.counters["subplan_evictions"] = static_cast<double>(memo.evictions());
+  state.counters["subplan_entries"] = static_cast<double>(memo.size());
 }
 
 /// The post-write row of BM_DeltaMergeOverhead: each iteration inserts
 /// `write` (a region of a queried document), rebases the previous
-/// iteration's BatchEngine onto the new view and runs one pass on it,
+/// iteration's Engine onto the new view and runs one pass on it,
 /// as a server connection does on its first query after another
 /// client's write — the written key is re-merged, and only the
 /// candidate sets and memo entries that read the written name drop.
@@ -359,9 +356,9 @@ void TimePostWritePasses(benchmark::State& state,
   using Clock = std::chrono::steady_clock;
   const storage::DocId doc = queries.front().doc;
   std::shared_ptr<const storage::DeltaStoreView> view = mutable_store->View();
-  xquery::BatchEngine engine(view.get(), xquery::EngineOptions{});
+  xquery::Engine engine(view.get());
   size_t matches = 0;
-  if (!CountMatches(state, RunQueries(&engine, *view, queries), &matches)) {
+  if (!CountMatches(state, RunQueries(&engine, queries), &matches)) {
     return;  // the connection was warm before the write
   }
   const Clock::time_point fresh_start = Clock::now();
@@ -378,8 +375,7 @@ void TimePostWritePasses(benchmark::State& state,
     engine.Rebase(next.get());
     view = std::move(next);
     matches = 0;
-    if (!CountMatches(state, RunQueries(&engine, *view, queries),
-                      &matches)) {
+    if (!CountMatches(state, RunQueries(&engine, queries), &matches)) {
       return;
     }
   }
@@ -390,8 +386,7 @@ void TimePostWritePasses(benchmark::State& state,
   const Clock::time_point warm_start = Clock::now();
   for (int64_t i = 0; i < warm_passes; ++i) {
     size_t warm_matches = 0;
-    if (!CountMatches(state, RunQueries(&engine, *view, queries),
-                      &warm_matches)) {
+    if (!CountMatches(state, RunQueries(&engine, queries), &warm_matches)) {
       return;
     }
   }
@@ -410,7 +405,7 @@ void TimePostWritePasses(benchmark::State& state,
 }
 
 /// Args: {use_view, delta_permille[, post_write]}. The BM_ChainQueries
-/// batch through a BatchEngine over either the base ShardedStore
+/// batch through an Engine over either the base ShardedStore
 /// directly (use_view 0) or a MutableStore view whose delta layer
 /// carries delta_permille of the corpus's region rows as pending
 /// inserts. Every inserted row duplicates an existing region (shifted
@@ -499,13 +494,12 @@ void BM_DeltaMergeOverhead(benchmark::State& state) {
       use_view ? static_cast<const storage::StoreView*>(view.get())
                : static_cast<const storage::StoreView*>(base.get());
 
-  xquery::EngineOptions options;
-  xquery::BatchEngine engine(store, options);
-  (void)RunQueries(&engine, *store, queries);  // warm caches and memo
+  xquery::Engine engine(store);
+  (void)RunQueries(&engine, queries);  // warm caches and memo
   size_t matches = 0;
   for (auto _ : state) {
     matches = 0;
-    if (!CountMatches(state, RunQueries(&engine, *store, queries), &matches)) {
+    if (!CountMatches(state, RunQueries(&engine, queries), &matches)) {
       return;
     }
   }
@@ -712,9 +706,17 @@ BENCHMARK(BM_DeltaMergeOverhead)
     ->Args({1, 0})    // delta view, zero delta rows: must stay free
     ->Args({1, 10})   // 1% delta rows
     ->Args({1, 100})  // 10% delta rows
-    ->Args({1, 10, 1})  // first pass after a write, over the 1% view
     // Ratio-gated pair ({1,0} vs {0,0} within 10%): pin a wide window
-    // so the CI quick job's 0.01s flag can't flake the gate.
+    // so the CI quick job's 0.01s flag can't flake the gate, and time
+    // the rows in alternating slices of it: run one after the other,
+    // the pair's ratio read 0.85-1.38 across back-to-back runs.
+    ->MinTime(0.5)
+    ->Interleave()
+    ->Unit(benchmark::kMillisecond);
+// The post-write row grows its view by one write per iteration and
+// reports a within-run warm/fresh counter, so it keeps its own window.
+BENCHMARK(BM_DeltaMergeOverhead)
+    ->Args({1, 10, 1})  // first pass after a write, over the 1% view
     ->MinTime(0.5)
     ->Unit(benchmark::kMillisecond);
 // Ratio-gated pair (merge <= 0.25x rebuild): MinTime keeps the CI quick

@@ -97,13 +97,13 @@ StatusOr<std::string> WriteFingerprint(std::string fingerprint) {
 
 /// Per-connection execution state: the frozen delta view this
 /// connection's engine was built over (it pins that generation's
-/// mapping plus its delta runs), the warmed BatchEngine, and the
+/// mapping plus its delta runs), the warmed Engine, and the
 /// result buffer each query serializes into (cleared per query, its
 /// capacity kept). Only the connection's own thread touches it —
 /// frames are serial per connection.
 struct Server::ConnState {
   std::shared_ptr<const storage::DeltaStoreView> view;
-  std::unique_ptr<xquery::BatchEngine> engine;
+  std::unique_ptr<xquery::Engine> engine;
   std::string payload;
 };
 
@@ -473,10 +473,9 @@ bool Server::HandleQuery(int fd, ConnState* conn, const std::string& text) {
     } else {
       // First query ever, or after a swap or compaction (a new base):
       // build a fresh engine over the new view.
-      xquery::EngineOptions options;
-      options.timeout_seconds = config_.query_timeout_seconds;
-      conn->engine =
-          std::make_unique<xquery::BatchEngine>(view.get(), options);
+      conn->engine = std::make_unique<xquery::Engine>(view.get());
+      conn->engine->mutable_options()->timeout_seconds =
+          config_.query_timeout_seconds;
       engine_rebuilds_.fetch_add(1, std::memory_order_relaxed);
     }
     // The old view's reference drops here — this is where an idle
@@ -490,47 +489,41 @@ bool Server::HandleQuery(int fd, ConnState* conn, const std::string& text) {
   uint64_t rows = 0;
   const bool is_chain = parsed->kind == ParsedQuery::Kind::kChain;
   conn->payload.clear();
-  if (is_chain && parsed->chain.doc >= conn->view->document_count()) {
-    status = Status::Invalid(
-        "doc " + std::to_string(parsed->chain.doc) + " out of range (" +
-        std::to_string(conn->view->document_count()) + " documents)");
-  } else {
-    xquery::Engine* engine = conn->engine->shard_engine(
-        is_chain ? conn->view->shard_of(parsed->chain.doc) : 0);
-    // Per-query deadline: the tighter of the request's deadline_ms and
-    // the server's configured timeout, restored afterwards (frames are
-    // serial per connection, so the engine is ours).
-    double& timeout = engine->mutable_options()->timeout_seconds;
-    const double configured = config_.query_timeout_seconds;
-    if (parsed->deadline_seconds > 0) {
-      timeout = configured > 0 ? std::min(configured, parsed->deadline_seconds)
-                               : parsed->deadline_seconds;
-    }
-    if (is_chain) {
-      auto chain = engine->EvaluateChain(parsed->chain);
-      if (chain.ok()) {
-        SerializeChain(*chain, &conn->payload);
-        rows = chain->matches.size();
-        subplan_hits_.fetch_add(chain->stats.memo_hits,
-                                std::memory_order_relaxed);
-        subplan_misses_.fetch_add(chain->stats.memo_misses,
-                                  std::memory_order_relaxed);
-        subplan_evictions_.fetch_add(chain->stats.memo_evictions,
-                                     std::memory_order_relaxed);
-      } else {
-        status = chain.status();
-      }
-    } else {
-      auto flwor = engine->Evaluate(parsed->flwor);
-      if (flwor.ok()) {
-        SerializeFlwor(*flwor, &conn->payload);
-        rows = flwor->items.size();
-      } else {
-        status = flwor.status();
-      }
-    }
-    timeout = configured;
+  xquery::Engine* engine = conn->engine.get();
+  // Per-query deadline: the tighter of the request's deadline_ms and the
+  // server's configured timeout, restored afterwards (frames are serial
+  // per connection, so the engine is ours).
+  double& timeout = engine->mutable_options()->timeout_seconds;
+  const double configured = config_.query_timeout_seconds;
+  if (parsed->deadline_seconds > 0) {
+    timeout = configured > 0 ? std::min(configured, parsed->deadline_seconds)
+                             : parsed->deadline_seconds;
   }
+  if (is_chain) {
+    // EvaluateChain rejects a document the view does not have.
+    auto chain = engine->EvaluateChain(parsed->chain);
+    if (chain.ok()) {
+      SerializeChain(*chain, &conn->payload);
+      rows = chain->matches.size();
+      subplan_hits_.fetch_add(chain->stats.memo_hits,
+                              std::memory_order_relaxed);
+      subplan_misses_.fetch_add(chain->stats.memo_misses,
+                                std::memory_order_relaxed);
+      subplan_evictions_.fetch_add(chain->stats.memo_evictions,
+                                   std::memory_order_relaxed);
+    } else {
+      status = chain.status();
+    }
+  } else {
+    auto flwor = engine->Evaluate(parsed->flwor);
+    if (flwor.ok()) {
+      SerializeFlwor(*flwor, &conn->payload);
+      rows = flwor->items.size();
+    } else {
+      status = flwor.status();
+    }
+  }
+  timeout = configured;
   const double seconds = timer.ElapsedSeconds();
   // The slot is free before any frame goes out: a client that reads
   // slowly does not hold it.

@@ -4,7 +4,7 @@
 //
 //   accept thread ── spawns ──> one thread per connection (frames are
 //   handled serially per connection) ── admits each query through the
-//   AdmissionGate, then evaluates it on its own BatchEngine, serializes
+//   AdmissionGate, then evaluates it on its own Engine, serializes
 //   the result, leaves the gate and streams the frames — all on the
 //   connection thread. The shared ThreadPool runs only auto-compaction
 //   and a compaction's merge fan-out.
@@ -26,9 +26,12 @@
 // last reference drops. No query ever blocks on a swap, and a swap
 // never waits for queries.
 //
-// A connection's BatchEngine (and its warmed caches) is rebuilt lazily
-// on the first query AFTER the store's view changes (a write, swap or
-// compaction); an idle connection therefore pins the previous view and
+// A connection has one Engine for every document, whatever its shard:
+// its region indexes, candidate sets, stats and sub-plan memo are keyed
+// by document. The engine is built on the connection's first query and
+// after a new base (a swap or compaction), and rebased (Engine::Rebase)
+// onto the next view after a write, on the first query AFTER the view
+// changes; an idle connection therefore pins the previous view and
 // mapping until its next query — the deliberate cost of zero
 // coordination on the query path.
 #ifndef STANDOFF_SERVER_SERVER_H_
@@ -168,9 +171,6 @@ class AdmissionGate {
     return true;
   }
   void Leave() { in_flight_.fetch_sub(1, std::memory_order_release); }
-  int64_t in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<int64_t> in_flight_{0};

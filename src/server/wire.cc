@@ -37,28 +37,11 @@ ssize_t RecvAll(int fd, void* buf, size_t len) {
 
 }  // namespace
 
-void AppendU32(std::string* out, uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
 StatusOr<uint32_t> TakeU32(std::string_view body, size_t* offset) {
   if (body.size() < *offset || body.size() - *offset < 4) {
     return Status::Invalid("frame body too short for u32");
   }
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(
-                 static_cast<uint8_t>(body[*offset + static_cast<size_t>(i)]))
-             << (8 * i);
-  }
+  const uint32_t value = LoadU32(body.data() + *offset);
   *offset += 4;
   return value;
 }
@@ -67,12 +50,7 @@ StatusOr<uint64_t> TakeU64(std::string_view body, size_t* offset) {
   if (body.size() < *offset || body.size() - *offset < 8) {
     return Status::Invalid("frame body too short for u64");
   }
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(
-                 static_cast<uint8_t>(body[*offset + static_cast<size_t>(i)]))
-             << (8 * i);
-  }
+  const uint64_t value = LoadU64(body.data() + *offset);
   *offset += 8;
   return value;
 }

@@ -75,6 +75,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/le_bytes.h"
 #include "common/status.h"
 
 namespace standoff {
@@ -113,9 +114,10 @@ struct Frame {
   std::string body;
 };
 
-/// Little-endian append/read helpers shared by both frame directions.
-void AppendU32(std::string* out, uint32_t value);
-void AppendU64(std::string* out, uint64_t value);
+/// Frame fields are little-endian (common/le_bytes.h) in both
+/// directions.
+using standoff::AppendU32;
+using standoff::AppendU64;
 /// Reads from body at *offset, advancing it; Invalid on short body.
 StatusOr<uint32_t> TakeU32(std::string_view body, size_t* offset);
 StatusOr<uint64_t> TakeU64(std::string_view body, size_t* offset);

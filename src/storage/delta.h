@@ -109,9 +109,6 @@ class DeltaStoreView : public StoreView {
   }
   uint32_t shard_count() const override { return base_->shard_count(); }
   uint32_t shard_of(DocId doc) const override { return base_->shard_of(doc); }
-  const std::vector<DocId>& shard_docs(uint32_t shard) const override {
-    return base_->shard_docs(shard);
-  }
 
   std::shared_ptr<const DeltaRun> delta_run(
       DocId doc, const std::string& config_fingerprint) const override;

@@ -193,14 +193,12 @@ StatusOr<DocId> DocumentStore::AddDocumentText(std::string name,
   doc->element_index.Build(doc->table, names_.size());
   const DocId id = static_cast<DocId>(docs_.size());
   docs_.push_back(std::move(doc));
-  all_docs_.push_back(id);
   return id;
 }
 
 DocId DocumentStore::AdoptDocument(std::unique_ptr<Document> doc) {
   const DocId id = static_cast<DocId>(docs_.size());
   docs_.push_back(std::move(doc));
-  all_docs_.push_back(id);
   return id;
 }
 

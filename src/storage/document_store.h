@@ -76,9 +76,6 @@ class DocumentStore : public StoreView {
   /// document.
   uint32_t shard_count() const override { return 1; }
   uint32_t shard_of(DocId) const override { return 0; }
-  const std::vector<DocId>& shard_docs(uint32_t) const override {
-    return all_docs_;
-  }
 
   /// Substrate hook for the ingestion and snapshot subsystems, which
   /// intern (or borrow) names outside AddDocumentText. Query-layer code
@@ -89,7 +86,6 @@ class DocumentStore : public StoreView {
  private:
   NameTable names_;
   std::vector<std::unique_ptr<Document>> docs_;
-  std::vector<DocId> all_docs_;  // [0, docs_.size()), for shard_docs
 };
 
 }  // namespace storage

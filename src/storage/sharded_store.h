@@ -2,10 +2,9 @@
 // are assigned round-robin by DocId (doc % shard_count), the name table
 // stays shared so NameIds compare across shards, and each shard's
 // per-document ElementIndex is built at load time as in DocumentStore.
-// Shards give the parallel execution layer its unit of data
-// parallelism: index construction and per-document joins fan out one
-// task per shard, and shard-local results are merged deterministically
-// in document order.
+// The shard map is recorded for ingest and snapshots (a snapshot saves
+// its shard count); queries do not read it: one engine serves every
+// document of a store.
 #ifndef STANDOFF_STORAGE_SHARDED_STORE_H_
 #define STANDOFF_STORAGE_SHARDED_STORE_H_
 
@@ -43,7 +42,7 @@ class ShardedStore : public StoreView {
   uint32_t shard_of(DocId doc) const override { return doc % shard_count(); }
 
   /// The ids of this shard's documents, in document (load) order.
-  const std::vector<DocId>& shard_docs(uint32_t shard) const override {
+  const std::vector<DocId>& shard_docs(uint32_t shard) const {
     return shard_docs_[shard];
   }
 

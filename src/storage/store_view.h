@@ -1,9 +1,11 @@
 // StoreView: the one read-side interface over every store shape the
 // engine can run against — an in-memory DocumentStore, a round-robin
 // ShardedStore, a snapshot-backed store (whose columns borrow from an
-// mmap), and the mutable base+delta view (storage/delta.h). Engine,
-// BatchEngine, and the server program against this interface only, so
-// none of them special-cases a store type.
+// mmap), and the mutable base+delta view (storage/delta.h). The engine
+// and the server program against this interface only, so neither
+// special-cases a store type. One engine serves every document of a
+// view whatever its shard; nothing on the query path reads the shard
+// map.
 //
 // The interface is a frozen view: every method is const and must be
 // safe to call concurrently once the underlying store has finished
@@ -22,7 +24,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "storage/node_table.h"
 
@@ -42,11 +43,11 @@ class StoreView {
   virtual const NodeTable& table(DocId doc) const = 0;
 
   /// Sharding geometry: >= 1 shards, documents assigned by shard_of.
-  /// Unsharded stores report one shard holding every document.
+  /// Unsharded stores report one shard holding every document. Only
+  /// perfbench's engine pick (xquery::BatchEngine) still reads these
+  /// through the view; they go with it in a later benchmark change.
   virtual uint32_t shard_count() const = 0;
   virtual uint32_t shard_of(DocId doc) const = 0;
-  /// This shard's document ids in document (load) order.
-  virtual const std::vector<DocId>& shard_docs(uint32_t shard) const = 0;
 
   /// The document's uncompacted delta run under a standoff-config
   /// fingerprint (so::ConfigFingerprint), or null when the view has no

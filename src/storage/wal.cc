@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/le_bytes.h"
+
 namespace standoff {
 namespace storage {
 namespace {
@@ -52,40 +54,6 @@ uint64_t Checksum64(std::string_view data) {
   h = (h ^ tail) * 0x8EBC6AF09C88C6E3ULL;
   h ^= h >> 29;
   return h;
-}
-
-void StoreU32(uint32_t v, char* p) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
-}
-
-void StoreU64(uint64_t v, char* p) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
-}
-
-void AppendU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t ReadU32(std::string_view buf, size_t off) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(buf[off + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-uint64_t ReadU64(std::string_view buf, size_t off) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(buf[off + i]))
-         << (8 * i);
-  }
-  return v;
 }
 
 // -----------------------------------------------------------------------
@@ -234,13 +202,13 @@ FileIo* ResolveIo(const WalOptions& options) {
 std::string EncodeSegmentHeader(uint64_t index, uint64_t base_seq,
                                 const std::string& base_path) {
   std::string out;
-  AppendU64(kWalMagic, &out);
-  AppendU32(kWalVersion, &out);
-  AppendU32(static_cast<uint32_t>(base_path.size()), &out);
-  AppendU64(index, &out);
-  AppendU64(base_seq, &out);
+  AppendU64(&out, kWalMagic);
+  AppendU32(&out, kWalVersion);
+  AppendU32(&out, static_cast<uint32_t>(base_path.size()));
+  AppendU64(&out, index);
+  AppendU64(&out, base_seq);
   out += base_path;
-  AppendU64(Checksum64(out), &out);
+  AppendU64(&out, Checksum64(out));
   return out;
 }
 
@@ -254,18 +222,18 @@ struct SegmentHeader {
 /// False on any torn/corrupt/mismatched header.
 bool DecodeSegmentHeader(std::string_view buf, SegmentHeader* out) {
   if (buf.size() < kHeaderFixedBytes + 8) return false;
-  if (ReadU64(buf, 0) != kWalMagic) return false;
-  if (ReadU32(buf, 8) != kWalVersion) return false;
-  const size_t path_len = ReadU32(buf, 12);
+  if (LoadU64(buf.data()) != kWalMagic) return false;
+  if (LoadU32(buf.data() + 8) != kWalVersion) return false;
+  const size_t path_len = LoadU32(buf.data() + 12);
   if (path_len > kMaxBasePathBytes) return false;
   const size_t total = kHeaderFixedBytes + path_len + 8;
   if (buf.size() < total) return false;
-  const uint64_t want = ReadU64(buf, kHeaderFixedBytes + path_len);
+  const uint64_t want = LoadU64(buf.data() + kHeaderFixedBytes + path_len);
   if (Checksum64(buf.substr(0, kHeaderFixedBytes + path_len)) != want) {
     return false;
   }
-  out->index = ReadU64(buf, 16);
-  out->base_seq = ReadU64(buf, 24);
+  out->index = LoadU64(buf.data() + 16);
+  out->base_seq = LoadU64(buf.data() + 24);
   out->base_path.assign(buf.data() + kHeaderFixedBytes, path_len);
   out->size = total;
   return true;
@@ -317,24 +285,23 @@ void EncodeWalRecord(const WalRecord& record, std::string* out) {
   out->resize(frame_off + kRecordFrameBytes + len);
   char* p = &(*out)[frame_off + kRecordFrameBytes];
   *p++ = static_cast<char>(record.op);
-  StoreU64(record.seq, p);
+  StoreU64(p, record.seq);
   p += 8;
-  StoreU32(record.doc, p);
+  StoreU32(p, record.doc);
   p += 4;
-  StoreU32(record.id, p);
+  StoreU32(p, record.id);
   p += 4;
   if (insert) {
-    StoreU64(static_cast<uint64_t>(record.start), p);
+    StoreU64(p, static_cast<uint64_t>(record.start));
     p += 8;
-    StoreU64(static_cast<uint64_t>(record.end), p);
+    StoreU64(p, static_cast<uint64_t>(record.end));
     p += 8;
   }
   std::memcpy(p, record.fingerprint.data(), record.fingerprint.size());
   char* frame = &(*out)[frame_off];
-  StoreU32(static_cast<uint32_t>(len), frame);
-  StoreU64(Checksum64(std::string_view(
-               out->data() + frame_off + kRecordFrameBytes, len)),
-           frame + 4);
+  StoreU32(frame, static_cast<uint32_t>(len));
+  StoreU64(frame + 4, Checksum64(std::string_view(
+                          out->data() + frame_off + kRecordFrameBytes, len)));
 }
 
 WalDecode DecodeWalRecord(std::string_view buffer, size_t* offset,
@@ -342,10 +309,10 @@ WalDecode DecodeWalRecord(std::string_view buffer, size_t* offset,
   const size_t off = *offset;
   if (off == buffer.size()) return WalDecode::kEnd;
   if (buffer.size() - off < kRecordFrameBytes) return WalDecode::kCorrupt;
-  const size_t len = ReadU32(buffer, off);
+  const size_t len = LoadU32(buffer.data() + off);
   if (len == 0 || len > max_record_bytes) return WalDecode::kCorrupt;
   if (buffer.size() - off - kRecordFrameBytes < len) return WalDecode::kCorrupt;
-  const uint64_t want = ReadU64(buffer, off + 4);
+  const uint64_t want = LoadU64(buffer.data() + off + 4);
   const std::string_view payload = buffer.substr(off + kRecordFrameBytes, len);
   if (Checksum64(payload) != want) return WalDecode::kCorrupt;
 
@@ -358,12 +325,12 @@ WalDecode DecodeWalRecord(std::string_view buffer, size_t* offset,
   }
   if (payload.size() < need) return WalDecode::kCorrupt;
   record->op = static_cast<WalRecord::Op>(op);
-  record->seq = ReadU64(payload, 1);
-  record->doc = ReadU32(payload, 9);
-  record->id = ReadU32(payload, 13);
+  record->seq = LoadU64(payload.data() + 1);
+  record->doc = LoadU32(payload.data() + 9);
+  record->id = LoadU32(payload.data() + 13);
   if (record->op == WalRecord::Op::kInsert) {
-    record->start = static_cast<int64_t>(ReadU64(payload, 17));
-    record->end = static_cast<int64_t>(ReadU64(payload, 25));
+    record->start = static_cast<int64_t>(LoadU64(payload.data() + 17));
+    record->end = static_cast<int64_t>(LoadU64(payload.data() + 25));
   } else {
     record->start = record->end = 0;
   }

@@ -546,10 +546,7 @@ Status Engine::EvaluateChainShared(const ChainQuery& query,
                                    const std::vector<std::string>& keys,
                                    const so::ChainExecOptions& exec,
                                    ChainResult* result) {
-  if (!subplan_memo_) {
-    subplan_memo_ = std::make_unique<so::SubPlanMemo>();
-  }
-  so::SubPlanMemo* memo = subplan_memo_.get();
+  so::SubPlanMemo* memo = &subplan_memo_;
   const size_t hits0 = memo->hits();
   const size_t misses0 = memo->misses();
   const size_t evictions0 = memo->evictions();
@@ -702,56 +699,18 @@ void Engine::Rebase(const storage::StoreView* next) {
       }
     }
   }
-  if (subplan_memo_) {
-    subplan_memo_->EraseIf([&](const so::SubPlanMemo::Entry& entry) {
-      const so::SubPlanMemo::Reads& reads = entry.reads;
-      const std::vector<storage::NameId>* names =
-          dirty_names(reads.doc, reads.fingerprint);
-      return names != nullptr &&
-             (reads.all_names ||
-              std::any_of(reads.names.begin(), reads.names.end(),
-                          [&](storage::NameId name) {
-                            return reads_dirty(*names, name);
-                          }));
-    });
-  }
+  subplan_memo_.EraseIf([&](const so::SubPlanMemo::Entry& entry) {
+    const so::SubPlanMemo::Reads& reads = entry.reads;
+    const std::vector<storage::NameId>* names =
+        dirty_names(reads.doc, reads.fingerprint);
+    return names != nullptr &&
+           (reads.all_names ||
+            std::any_of(reads.names.begin(), reads.names.end(),
+                        [&](storage::NameId name) {
+                          return reads_dirty(*names, name);
+                        }));
+  });
   store_ = next;
-}
-
-BatchEngine::BatchEngine(const storage::StoreView* store,
-                         EngineOptions options)
-    : store_(store), options_(std::move(options)) {
-  engines_.resize(store_->shard_count());
-}
-
-Engine* BatchEngine::shard_engine(uint32_t shard) {
-  if (shard >= engines_.size()) return nullptr;
-  if (!engines_[shard]) {
-    engines_[shard] = std::make_unique<Engine>(store_);
-    *engines_[shard]->mutable_options() = options_;
-  }
-  return engines_[shard].get();
-}
-
-void BatchEngine::Rebase(const storage::StoreView* next) {
-  store_ = next;
-  for (const auto& engine : engines_) {
-    if (engine) engine->Rebase(next);
-  }
-}
-
-SubPlanMemoStats BatchEngine::memo_stats() const {
-  SubPlanMemoStats total;
-  for (const auto& engine : engines_) {
-    if (!engine) continue;
-    const so::SubPlanMemo* memo = engine->subplan_memo();
-    if (!memo) continue;
-    total.hits += memo->hits();
-    total.misses += memo->misses();
-    total.evictions += memo->evictions();
-    total.entries += memo->size();
-  }
-  return total;
 }
 
 Status Engine::ApplyStandoffStep(const Step& step, Lifted* rows) {

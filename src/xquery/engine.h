@@ -20,7 +20,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -153,10 +152,9 @@ class Engine {
   StandoffMode standoff_mode() const { return mode_; }
   EngineOptions* mutable_options() { return &options_; }
 
-  /// The engine's sub-plan memo (created on first sharing-enabled
-  /// chain), for counter inspection and Clear() in tests/benches. May
-  /// be null when no shared chain has run yet.
-  so::SubPlanMemo* subplan_memo() { return subplan_memo_.get(); }
+  /// The engine's sub-plan memo, for counter inspection and Clear() in
+  /// tests and benches.
+  so::SubPlanMemo* subplan_memo() { return &subplan_memo_; }
 
  private:
   struct Env;  // variable bindings, defined in engine.cc
@@ -261,7 +259,7 @@ class Engine {
   /// join runs inside another), so a warmed engine runs its merge
   /// passes allocation-free.
   so::JoinArena arena_;
-  std::unique_ptr<so::SubPlanMemo> subplan_memo_;
+  so::SubPlanMemo subplan_memo_;  // 256 entries, shared by every document
   Timer deadline_timer_;
   double deadline_seconds_ = 0;  // active budget for the running Evaluate
   /// CheckDeadline as the chain executor's between-join checkpoint.
@@ -271,42 +269,22 @@ class Engine {
   };
 };
 
-/// Aggregated sub-plan memo counters across a BatchEngine's shard
-/// engines — what the server's stats frame and the bench print.
-struct SubPlanMemoStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t entries = 0;
-};
-
-/// One persistent Engine per document shard of a store: a query on
-/// document `doc` runs on `shard_engine(store->shard_of(doc))`, whose
-/// region indexes, candidate sets, merge arena and sub-plan memo carry
-/// across queries, and across writes through Rebase. This is the
-/// server's per-connection read state.
+/// perfbench's per-connection dispatch, which picks an engine per
+/// document shard: every shard maps to the one engine. It goes, together
+/// with StoreView's shard map, in a later change to the benchmark.
 class BatchEngine {
  public:
-  /// `store` supplies the shard map through the StoreView interface; a
-  /// single-shard store (plain DocumentStore) degenerates to one
-  /// persistent engine.
-  BatchEngine(const storage::StoreView* store, EngineOptions options);
-
-  /// The per-shard engine (created on first use); null for a shard the
-  /// store does not have.
-  Engine* shard_engine(uint32_t shard);
-
-  /// Engine::Rebase on every shard engine created so far; `next` must
-  /// share the current store's base.
-  void Rebase(const storage::StoreView* next);
-
-  /// Sums memo counters over the shard engines created so far.
-  SubPlanMemoStats memo_stats() const;
+  BatchEngine(const storage::StoreView* store, EngineOptions options)
+      : shards_(store->shard_count()), engine_(store) {
+    *engine_.mutable_options() = std::move(options);
+  }
+  Engine* shard_engine(uint32_t shard) {
+    return shard < shards_ ? &engine_ : nullptr;
+  }
 
  private:
-  const storage::StoreView* store_;
-  EngineOptions options_;
-  std::vector<std::unique_ptr<Engine>> engines_;  // one slot per shard
+  uint32_t shards_;
+  Engine engine_;
 };
 
 }  // namespace xquery

@@ -1,8 +1,8 @@
-// The server's dispatch must amortize: running N chain queries in
-// query order on a warmed BatchEngine — each on
-// shard_engine(shard_of(doc)), with its shared region indexes,
-// candidate sets, arena, stats and memo — performs strictly fewer heap
-// allocations than N independent engines evaluating the same queries.
+// The server's dispatch must amortize: running N chain queries over
+// documents on three shards in query order on one warmed Engine, with
+// its shared region indexes, candidate sets, arena, stats and memo,
+// performs strictly fewer heap allocations than N independent engines
+// evaluating the same queries.
 // Verified by counting global operator new invocations, as in
 // test_join_arena.
 #include <cstdlib>
@@ -86,15 +86,13 @@ xquery::ChainQuery Query(storage::DocId doc) {
 }
 
 /// One pass of the server's dispatch: every query, in order, on the
-/// engine of its document's shard.
+/// connection's engine.
 std::vector<StatusOr<xquery::ChainResult>> RunInQueryOrder(
-    xquery::BatchEngine* batch, const storage::StoreView& store,
-    const std::vector<xquery::ChainQuery>& queries) {
+    xquery::Engine* engine, const std::vector<xquery::ChainQuery>& queries) {
   std::vector<StatusOr<xquery::ChainResult>> results;
   results.reserve(queries.size());
   for (const xquery::ChainQuery& query : queries) {
-    results.push_back(
-        batch->shard_engine(store.shard_of(query.doc))->EvaluateChain(query));
+    results.push_back(engine->EvaluateChain(query));
   }
   return results;
 }
@@ -113,18 +111,19 @@ static void TestBatchedAllocatesLessThanIndependent() {
   }
   const xquery::EngineOptions options;
 
-  xquery::BatchEngine batch(&store, options);
-  // The first round pays the one-time setup and fills the memos.
-  auto warm = RunInQueryOrder(&batch, store, queries);
+  xquery::Engine batch(&store);
+  *batch.mutable_options() = options;
+  // The first round pays the one-time setup and fills the memo.
+  auto warm = RunInQueryOrder(&batch, queries);
   for (const auto& r : warm) CHECK_OK(r);
 
   g_allocations = 0;
   g_counting = true;
-  auto batched_results = RunInQueryOrder(&batch, store, queries);
+  auto batched_results = RunInQueryOrder(&batch, queries);
   g_counting = false;
   const size_t batched = g_allocations;
   for (const auto& r : batched_results) CHECK_OK(r);
-  CHECK(batch.memo_stats().hits > 0);
+  CHECK(batch.subplan_memo()->hits() > 0);
 
   g_allocations = 0;
   g_counting = true;
@@ -145,7 +144,7 @@ static void TestBatchedAllocatesLessThanIndependent() {
     }
   }
   // ...for a fraction of the allocations (indexes, candidate sets, the
-  // arena and the memo are cache hits on the warmed shard engines).
+  // arena and the memo are cache hits on the warmed engine).
   std::fprintf(stderr, "  batched=%zu independent=%zu allocations\n",
                batched, independent);
   CHECK(batched * 2 < independent);

@@ -429,11 +429,10 @@ static void TestSharedChainsIdenticalToUnshared() {
 
 static void TestOverlappingBatchesSharedVsIndependent() {
   // The server's dispatch with sharing vs sequential independent
-  // evaluation: the whole overlapping mix, in query order, each query
-  // on shard_engine(shard_of(doc)) of one BatchEngine (sharing on, warm
-  // across two consecutive rounds), must be byte-identical to per-query
-  // fresh engines with sharing off, across plan modes and shard
-  // layouts.
+  // evaluation: the whole overlapping mix, in query order, on one
+  // Engine over every shard's documents (sharing on, warm across two
+  // consecutive rounds), must be byte-identical to per-query fresh
+  // engines with sharing off, across plan modes and shard layouts.
   const std::string xmls[] = {NestedPlay(5), DuplicateSets(), RandomSoup(31),
                               ZeroOverlap(), RandomSoup(32), EmptyMiddle()};
   for (uint32_t store_shards : {1u, 3u}) {
@@ -455,12 +454,11 @@ static void TestOverlappingBatchesSharedVsIndependent() {
       xquery::EngineOptions options;
       options.plan_mode = mode;
       options.share_subplans = true;
-      xquery::BatchEngine batch(&store, options);
+      xquery::Engine shared(&store);
+      *shared.mutable_options() = options;
       for (int round = 0; round < 2; ++round) {  // round 2 is memo-warm
         for (const xquery::ChainQuery& query : queries) {
-          auto got =
-              batch.shard_engine(store.shard_of(query.doc))->EvaluateChain(
-                  query);
+          auto got = shared.EvaluateChain(query);
           xquery::Engine single(&store.store());
           *single.mutable_options() = options;
           single.mutable_options()->share_subplans = false;
@@ -473,8 +471,8 @@ static void TestOverlappingBatchesSharedVsIndependent() {
           }
         }
       }
-      const xquery::SubPlanMemoStats memo = batch.memo_stats();
-      CHECK(memo.hits > 0);  // the mix's overlap actually shared work
+      // The mix's overlap actually shared work.
+      CHECK(shared.subplan_memo()->hits() > 0);
     }
   }
 }

@@ -23,9 +23,10 @@
 //     AdoptCompacted (= mid-compaction writes) must survive the
 //     rebase; ops at or below the frozen sequence must fold into the
 //     new base exactly once.
-//   * Rebase: one BatchEngine carried across every view of a seeded
-//     write stream (Rebase) answers chains and Figure 6 FLWORs exactly
-//     as a fresh engine over the same view does.
+//   * Rebase: one Engine carried across every view of a seeded write
+//     stream over two documents on two shards (Rebase) answers chains
+//     and Figure 6 FLWORs exactly as a fresh engine over the same view
+//     does.
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -832,9 +833,9 @@ static void TestIndexStatsFollowStandoffType() {
 
 static void TestRebasedEngineMatchesFresh() {
   // Writes land on names the queries read and on names they do not,
-  // under two standoff types of two documents on two shards. After each
-  // round of writes the carried engine is rebased onto the new view and
-  // must answer every chain (all four axes, `*` contexts and steps, 1-3
+  // under two standoff types of two documents on two shards, all served
+  // by one engine. After each round of writes the carried engine is
+  // rebased onto the new view and must answer every chain (all four axes, `*` contexts and steps, 1-3
   // steps, memo on) and every Figure 6 FLWOR (loop-lifted) exactly as a
   // fresh engine over that view. The carried stats are exact, so the
   // planner picks the same plan too. Every eighth round drops all runs
@@ -911,7 +912,7 @@ static void TestRebasedEngineMatchesFresh() {
     };
 
     std::shared_ptr<const storage::DeltaStoreView> view = mutable_store.View();
-    xquery::BatchEngine carried(view.get(), xquery::EngineOptions{});
+    xquery::Engine carried(view.get());
     for (int round = 0; round < 24; ++round) {
       if (round > 0) {
         const int64_t writes = round % 8 == 0 ? 0 : rng.UniformRange(1, 3);
@@ -955,11 +956,10 @@ static void TestRebasedEngineMatchesFresh() {
         view = std::move(next);
       }
 
-      xquery::BatchEngine fresh(view.get(), xquery::EngineOptions{});
+      xquery::Engine fresh(view.get());
       for (size_t q = 0; q < chains.size(); ++q) {
-        const uint32_t shard = view->shard_of(chains[q].doc);
-        auto got = carried.shard_engine(shard)->EvaluateChain(chains[q]);
-        auto want = fresh.shard_engine(shard)->EvaluateChain(chains[q]);
+        auto got = carried.EvaluateChain(chains[q]);
+        auto want = fresh.EvaluateChain(chains[q]);
         CHECK_OK(got);
         CHECK_OK(want);
         if (!got.ok() || !want.ok()) continue;
@@ -975,8 +975,8 @@ static void TestRebasedEngineMatchesFresh() {
         }
       }
       for (const std::string& flwor : flwors) {
-        auto got = carried.shard_engine(0)->Evaluate(flwor);
-        auto want = fresh.shard_engine(0)->Evaluate(flwor);
+        auto got = carried.Evaluate(flwor);
+        auto want = fresh.Evaluate(flwor);
         CHECK_OK(got);
         CHECK_OK(want);
         if (!got.ok() || !want.ok()) continue;

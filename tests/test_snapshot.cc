@@ -280,8 +280,8 @@ static void TestQueryDifferentialAgainstSnapshot() {
   }
   std::remove(xmark_path.c_str());
 
-  // The server's per-shard dispatch over the snapshot-backed
-  // ShardedStore: each query on shard_engine(shard_of(doc)).
+  // The server's dispatch over the snapshot-backed ShardedStore: every
+  // shard's documents on one engine.
   std::vector<ChainQuery> batch;
   for (storage::DocId doc = 0; doc < store.document_count(); ++doc) {
     ChainQuery query;
@@ -295,13 +295,11 @@ static void TestQueryDifferentialAgainstSnapshot() {
   }
   const storage::ShardedStore& snap_store = (*snapshot)->sharded_store();
   CHECK_EQ(snap_store.shard_count(), store.shard_count());
-  xquery::BatchEngine mem_batch(&store, xquery::EngineOptions{});
-  xquery::BatchEngine snap_batch(&snap_store, xquery::EngineOptions{});
+  xquery::Engine mem_engine(&store);
+  xquery::Engine snap_engine(&snap_store);
   for (const ChainQuery& query : batch) {
-    auto mem =
-        mem_batch.shard_engine(store.shard_of(query.doc))->EvaluateChain(query);
-    auto snap = snap_batch.shard_engine(snap_store.shard_of(query.doc))
-                    ->EvaluateChain(query);
+    auto mem = mem_engine.EvaluateChain(query);
+    auto snap = snap_engine.EvaluateChain(query);
     CHECK_OK(mem);
     CHECK_OK(snap);
     if (!mem.ok() || !snap.ok()) continue;
