@@ -92,6 +92,9 @@ const char* const kChainShapes[] = {
 };
 constexpr size_t kChainShapeCount = std::size(kChainShapes);
 
+/// Ping round trips timed before the drive.
+constexpr size_t kPingRounds = 1000;
+
 /// The chain shapes first, then the Figure 6 FLWOR queries.
 std::vector<std::string> BuildQueryMix() {
   std::vector<std::string> mix(std::begin(kChainShapes),
@@ -218,6 +221,29 @@ int main(int argc, char** argv) {
     port = in_process->port();
   }
 
+  // --- Framing floor: closed-loop pings on an idle server. -------------
+  // A ping is one frame each way and no engine work, so its round trip
+  // is what the wire alone costs every query (report-only).
+  std::vector<double> pings_us;
+  uint64_t ping_errors = 0;
+  {
+    auto pinger = Client::Connect(port);
+    for (size_t i = 0; pinger.ok() && i < kPingRounds; ++i) {
+      const auto sent = Clock::now();
+      const standoff::Status pong = (*pinger)->Ping();
+      if (!pong.ok()) {
+        std::fprintf(stderr, "ping error: %s\n", pong.ToString().c_str());
+        break;
+      }
+      pings_us.push_back(
+          std::chrono::duration<double, std::micro>(Clock::now() - sent)
+              .count());
+    }
+    if (pings_us.size() < kPingRounds) ping_errors = 1;
+  }
+  std::sort(pings_us.begin(), pings_us.end());
+  const double ping_p50 = Percentile(pings_us, 0.50);
+
   // --- Open-loop drive. -------------------------------------------------
   const std::vector<std::string> mix = BuildQueryMix();
   const auto start = Clock::now();
@@ -314,6 +340,7 @@ int main(int argc, char** argv) {
 
   // --- Aggregate and report. --------------------------------------------
   RunTotals all;
+  all.errors = ping_errors;
   all.rows_by_shape.assign(mix.size(), 0);
   for (auto& per_thread : totals) {
     for (size_t i = 0; i < mix.size(); ++i) {
@@ -348,14 +375,14 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "sent=%llu ok=%llu busy=%llu retries=%llu errors=%llu "
                "swaps=%llu qps=%.1f mean=%.0fus p50=%.0fus p95=%.0fus "
-               "p99=%.0fus\n",
+               "p99=%.0fus ping_p50_us=%.1f\n",
                static_cast<unsigned long long>(sent),
                static_cast<unsigned long long>(all.ok),
                static_cast<unsigned long long>(all.busy),
                static_cast<unsigned long long>(all.retries),
                static_cast<unsigned long long>(all.errors),
                static_cast<unsigned long long>(swaps_done.load()), qps, mean,
-               p50, p95, p99);
+               p50, p95, p99, ping_p50);
 
   // gbench-shaped JSON so run_bench.sh merges it like the real benches.
   std::printf("{\n");
@@ -366,7 +393,7 @@ int main(int argc, char** argv) {
   std::printf("    \"executable\": \"bench_server_loadgen\"\n");
   std::printf("  },\n");
   std::printf("  \"benchmarks\": [\n");
-  auto emit = [&all](const char* name, double cpu_us, uint64_t iterations,
+  auto emit = [&all, ping_p50](const char* name, double cpu_us, uint64_t iterations,
                      double p50_us, double p95_us, double p99_us,
                      double qps_v, uint64_t busy, uint64_t swaps,
                      bool last) {
@@ -382,6 +409,7 @@ int main(int argc, char** argv) {
     std::printf("      \"p50_us\": %.3f,\n", p50_us);
     std::printf("      \"p95_us\": %.3f,\n", p95_us);
     std::printf("      \"p99_us\": %.3f,\n", p99_us);
+    std::printf("      \"ping_p50_us\": %.3f,\n", ping_p50);
     std::printf("      \"queries_per_s\": %.3f,\n", qps_v);
     std::printf("      \"busy_rejections\": %llu,\n",
                 static_cast<unsigned long long>(busy));

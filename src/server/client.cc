@@ -19,10 +19,10 @@ namespace server {
 namespace {
 
 /// Decodes a kError body (u8 code + message) into its Status.
-Status DecodeError(const std::string& body) {
+Status DecodeError(std::string_view body) {
   if (body.empty()) return Status::Internal("empty error frame");
   const auto code = static_cast<StatusCode>(static_cast<uint8_t>(body[0]));
-  return Status(code, body.substr(1));
+  return Status(code, std::string(body.substr(1)));
 }
 
 /// Pulls `deadline_ms=<n>` out of the query text (same syntax the
@@ -63,9 +63,13 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
+StatusOr<Frame> Client::Call(MsgType type, std::string_view body) {
+  STANDOFF_RETURN_IF_ERROR(WriteFrame(fd_, type, body));
+  return reader_.Next();
+}
+
 Status Client::Ping() {
-  STANDOFF_RETURN_IF_ERROR(WriteFrame(fd_, MsgType::kPingReq, "ping"));
-  auto reply = ReadFrame(fd_);
+  auto reply = Call(MsgType::kPingReq, "ping");
   if (!reply.ok()) return reply.status();
   if (reply->type != MsgType::kPong || reply->body != "ping") {
     return Status::Internal("bad pong");
@@ -74,9 +78,7 @@ Status Client::Ping() {
 }
 
 StatusOr<QueryReply> Client::Query(const std::string& text) {
-  STANDOFF_RETURN_IF_ERROR(WriteFrame(fd_, MsgType::kQueryReq, text));
-
-  auto first = ReadFrame(fd_);
+  auto first = Call(MsgType::kQueryReq, text);
   if (!first.ok()) return first.status();
   QueryReply out;
   if (first->type == MsgType::kBusy) {
@@ -106,13 +108,13 @@ StatusOr<QueryReply> Client::Query(const std::string& text) {
   // chunk up front and let the payload grow with what actually arrives.
   out.payload.reserve(std::min<uint64_t>(*payload_bytes, kChunkBytes));
   for (;;) {
-    auto frame = ReadFrame(fd_);
+    auto frame = reader_.Next();
     if (!frame.ok()) return frame.status();
     if (frame->type == MsgType::kResultChunk) {
-      out.payload.append(frame->body);
-      if (out.payload.size() > *payload_bytes) {
+      if (frame->body.size() > *payload_bytes - out.payload.size()) {
         return Status::Internal("result chunks exceed announced size");
       }
+      out.payload.append(frame->body);
       continue;
     }
     if (frame->type == MsgType::kResultEnd) {
@@ -158,8 +160,7 @@ StatusOr<QueryReply> Client::QueryWithRetry(const std::string& text,
 }
 
 StatusOr<uint64_t> Client::Swap(const std::string& path) {
-  STANDOFF_RETURN_IF_ERROR(WriteFrame(fd_, MsgType::kSwapReq, path));
-  auto reply = ReadFrame(fd_);
+  auto reply = Call(MsgType::kSwapReq, path);
   if (!reply.ok()) return reply.status();
   if (reply->type == MsgType::kError) return DecodeError(reply->body);
   if (reply->type != MsgType::kSwapOk) {
@@ -170,10 +171,9 @@ StatusOr<uint64_t> Client::Swap(const std::string& path) {
 }
 
 StatusOr<uint32_t> Client::Hello() {
-  std::string body;
-  AppendU32(&body, kProtocolVersion);
-  STANDOFF_RETURN_IF_ERROR(WriteFrame(fd_, MsgType::kHelloReq, body));
-  auto reply = ReadFrame(fd_);
+  char version[4];
+  StoreU32(version, kProtocolVersion);
+  auto reply = Call(MsgType::kHelloReq, {version, sizeof version});
   if (!reply.ok()) return reply.status();
   if (reply->type == MsgType::kError) return DecodeError(reply->body);
   if (reply->type != MsgType::kHelloRep) {
@@ -183,11 +183,8 @@ StatusOr<uint32_t> Client::Hello() {
   return TakeU32(reply->body, &off);
 }
 
-namespace {
-
-/// Shared tail of both write RPCs: read one frame, expect kWriteOk.
-StatusOr<uint64_t> ReadWriteOk(int fd) {
-  auto reply = ReadFrame(fd);
+StatusOr<uint64_t> Client::CallWrite(MsgType type, std::string_view body) {
+  auto reply = Call(type, body);
   if (!reply.ok()) return reply.status();
   if (reply->type == MsgType::kError) return DecodeError(reply->body);
   if (reply->type != MsgType::kWriteOk) {
@@ -196,8 +193,6 @@ StatusOr<uint64_t> ReadWriteOk(int fd) {
   size_t off = 0;
   return TakeU64(reply->body, &off);
 }
-
-}  // namespace
 
 StatusOr<uint64_t> Client::InsertRegion(uint32_t doc, uint32_t id,
                                         int64_t start, int64_t end,
@@ -208,8 +203,7 @@ StatusOr<uint64_t> Client::InsertRegion(uint32_t doc, uint32_t id,
   AppendU64(&body, static_cast<uint64_t>(start));
   AppendU64(&body, static_cast<uint64_t>(end));
   body.append(fingerprint);
-  STANDOFF_RETURN_IF_ERROR(WriteFrame(fd_, MsgType::kInsertRegionReq, body));
-  return ReadWriteOk(fd_);
+  return CallWrite(MsgType::kInsertRegionReq, body);
 }
 
 StatusOr<uint64_t> Client::DeleteRegions(uint32_t doc, uint32_t id,
@@ -218,13 +212,11 @@ StatusOr<uint64_t> Client::DeleteRegions(uint32_t doc, uint32_t id,
   AppendU32(&body, doc);
   AppendU32(&body, id);
   body.append(fingerprint);
-  STANDOFF_RETURN_IF_ERROR(WriteFrame(fd_, MsgType::kDeleteRegionReq, body));
-  return ReadWriteOk(fd_);
+  return CallWrite(MsgType::kDeleteRegionReq, body);
 }
 
 StatusOr<Client::CompactReply> Client::Compact(const std::string& path) {
-  STANDOFF_RETURN_IF_ERROR(WriteFrame(fd_, MsgType::kCompactReq, path));
-  auto reply = ReadFrame(fd_);
+  auto reply = Call(MsgType::kCompactReq, path);
   if (!reply.ok()) return reply.status();
   if (reply->type == MsgType::kError) return DecodeError(reply->body);
   if (reply->type != MsgType::kCompactOk) {
@@ -242,8 +234,7 @@ StatusOr<Client::CompactReply> Client::Compact(const std::string& path) {
 }
 
 StatusOr<ServerStats> Client::Stats() {
-  STANDOFF_RETURN_IF_ERROR(WriteFrame(fd_, MsgType::kStatsReq, ""));
-  auto reply = ReadFrame(fd_);
+  auto reply = Call(MsgType::kStatsReq, "");
   if (!reply.ok()) return reply.status();
   if (reply->type != MsgType::kStatsRep) {
     return Status::Internal("expected kStatsRep");

@@ -22,7 +22,7 @@ struct QueryReply {
   uint64_t generation = 0;
   uint8_t kind = 0;  // 0 chain, 1 flwor
   uint64_t rows = 0;
-  std::string payload;       // the reassembled chunk bytes
+  std::string payload;       // the chunk bodies, appended in order
   uint64_t server_micros = 0;
   /// Query attempts consumed (always 1 for plain Query; >= 1 for
   /// QueryWithRetry, counting the busy rounds).
@@ -103,8 +103,15 @@ class Client {
   int fd() const { return fd_; }
 
  private:
-  explicit Client(int fd) : fd_(fd) {}
+  explicit Client(int fd) : fd_(fd), reader_(fd) {}
+  /// One round trip: sends the request frame, reads the first reply
+  /// frame (a view into reader_, valid until the next read).
+  StatusOr<Frame> Call(MsgType type, std::string_view body);
+  /// Shared tail of both write RPCs: expect kWriteOk.
+  StatusOr<uint64_t> CallWrite(MsgType type, std::string_view body);
+
   int fd_;
+  FrameReader reader_;
 };
 
 }  // namespace server

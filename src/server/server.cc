@@ -87,7 +87,8 @@ void SerializeFlwor(const algebra::QueryResult& result, std::string* out) {
 /// A write frame's config fingerprint: the rest of the body after the
 /// fixed fields. Empty means the default config; anything else must
 /// parse.
-StatusOr<std::string> WriteFingerprint(std::string fingerprint) {
+StatusOr<std::string> WriteFingerprint(std::string_view rest) {
+  std::string fingerprint(rest);
   if (fingerprint.empty()) return so::ConfigFingerprint(so::StandoffConfig{});
   STANDOFF_RETURN_IF_ERROR(so::ParseConfigFingerprint(fingerprint).status());
   return fingerprint;
@@ -97,14 +98,16 @@ StatusOr<std::string> WriteFingerprint(std::string fingerprint) {
 
 /// Per-connection execution state: the frozen delta view this
 /// connection's engine was built over (it pins that generation's
-/// mapping plus its delta runs), the warmed Engine, and the
-/// result buffer each query serializes into (cleared per query, its
-/// capacity kept). Only the connection's own thread touches it —
-/// frames are serial per connection.
+/// mapping plus its delta runs), the warmed Engine, the result buffer
+/// each query serializes into (cleared per query, its capacity kept),
+/// and the writer that sends a reply's frames in one gathered write
+/// (its chunk iovecs point into `payload`). Only the connection's own
+/// thread touches it — frames are serial per connection.
 struct Server::ConnState {
   std::shared_ptr<const storage::DeltaStoreView> view;
   std::unique_ptr<xquery::Engine> engine;
   std::string payload;
+  FrameWriter writer;
 };
 
 Server::Server(ServerConfig config)
@@ -364,8 +367,9 @@ void Server::AcceptLoop() {
 
 void Server::ConnectionLoop(int fd) {
   ConnState conn;
+  FrameReader reader(fd);
   for (;;) {
-    auto frame = ReadFrame(fd);
+    auto frame = reader.Next();
     if (!frame.ok()) {
       // Protocol violations (oversized/zero length prefix) get a
       // best-effort diagnostic; clean closes and truncated frames
@@ -384,7 +388,7 @@ void Server::ConnectionLoop(int fd) {
         SendStats(fd);
         break;
       case MsgType::kSwapReq: {
-        auto generation = SwapSnapshot(frame->body);
+        auto generation = SwapSnapshot(std::string(frame->body));
         if (generation.ok()) {
           std::string body;
           AppendU64(&body, *generation);
@@ -437,7 +441,7 @@ void Server::ConnectionLoop(int fd) {
   live_connections_.fetch_sub(1, std::memory_order_release);
 }
 
-bool Server::HandleQuery(int fd, ConnState* conn, const std::string& text) {
+bool Server::HandleQuery(int fd, ConnState* conn, std::string_view text) {
   auto parsed = ParseQueryText(text);
   if (!parsed.ok()) {
     queries_error_.fetch_add(1, std::memory_order_relaxed);
@@ -535,26 +539,26 @@ bool Server::HandleQuery(int fd, ConnState* conn, const std::string& text) {
   }
   queries_ok_.fetch_add(1, std::memory_order_relaxed);
 
+  // The whole reply in one write: header, the payload in kChunkBytes
+  // slices (borrowed, not copied), end.
   const std::string_view payload = conn->payload;
-  std::string header;
-  AppendU64(&header, generation);
-  header.push_back(static_cast<char>(is_chain ? kKindChain : kKindFlwor));
-  AppendU64(&header, payload.size());
-  AppendU64(&header, rows);
-  if (!WriteFrame(fd, MsgType::kResultHeader, header).ok()) return false;
+  char fields[8 + 1 + 8 + 8];
+  StoreU64(fields, generation);
+  fields[8] = static_cast<char>(is_chain ? kKindChain : kKindFlwor);
+  StoreU64(fields + 9, payload.size());
+  StoreU64(fields + 17, rows);
+  FrameWriter& writer = conn->writer;
+  writer.AddCopied(MsgType::kResultHeader, {fields, sizeof fields});
   for (size_t off = 0; off < payload.size(); off += kChunkBytes) {
-    if (!WriteFrame(fd, MsgType::kResultChunk,
-                    payload.substr(off, kChunkBytes))
-             .ok()) {
-      return false;
-    }
+    writer.AddBorrowed(MsgType::kResultChunk,
+                       payload.substr(off, kChunkBytes));
   }
-  std::string end;
-  AppendU64(&end, static_cast<uint64_t>(seconds * 1e6));
-  return WriteFrame(fd, MsgType::kResultEnd, end).ok();
+  StoreU64(fields, static_cast<uint64_t>(seconds * 1e6));
+  writer.AddCopied(MsgType::kResultEnd, {fields, 8});
+  return writer.Flush(fd).ok();
 }
 
-bool Server::HandleInsert(int fd, const std::string& body) {
+bool Server::HandleInsert(int fd, std::string_view body) {
   size_t off = 0;
   auto doc = TakeU32(body, &off);
   auto id = TakeU32(body, &off);
@@ -581,7 +585,7 @@ bool Server::HandleInsert(int fd, const std::string& body) {
   return WriteFrame(fd, MsgType::kWriteOk, reply).ok();
 }
 
-bool Server::HandleDelete(int fd, const std::string& body) {
+bool Server::HandleDelete(int fd, std::string_view body) {
   size_t off = 0;
   auto doc = TakeU32(body, &off);
   auto id = TakeU32(body, &off);
@@ -604,12 +608,12 @@ bool Server::HandleDelete(int fd, const std::string& body) {
   return WriteFrame(fd, MsgType::kWriteOk, reply).ok();
 }
 
-bool Server::HandleCompact(int fd, const std::string& body) {
+bool Server::HandleCompact(int fd, std::string_view body) {
   // Runs on the connection thread: frames on THIS connection stall for
   // the duration (compaction is an admin operation), while every other
   // connection keeps reading and writing against the frozen state.
   uint64_t compacted_seq = 0;
-  auto generation = Compact(body, &compacted_seq);
+  auto generation = Compact(std::string(body), &compacted_seq);
   if (!generation.ok()) {
     return WriteFrame(fd, MsgType::kError, ErrorBody(generation.status()))
         .ok();

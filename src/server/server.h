@@ -42,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -224,10 +225,10 @@ class Server {
   void ConnectionLoop(int fd);
   /// One kQueryReq: parse, admit, evaluate inline, stream the result.
   /// Returns false when the connection is no longer writable.
-  bool HandleQuery(int fd, ConnState* conn, const std::string& text);
-  bool HandleInsert(int fd, const std::string& body);
-  bool HandleDelete(int fd, const std::string& body);
-  bool HandleCompact(int fd, const std::string& body);
+  bool HandleQuery(int fd, ConnState* conn, std::string_view text);
+  bool HandleInsert(int fd, std::string_view body);
+  bool HandleDelete(int fd, std::string_view body);
+  bool HandleCompact(int fd, std::string_view body);
   void SendStats(int fd);
   /// Compact() body with an explicit merge pool — the threshold-
   /// triggered path runs ON a pool worker and must not hand the

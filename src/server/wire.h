@@ -9,6 +9,16 @@
 // can never drive an allocation. All integers are little-endian; there
 // is no alignment or padding anywhere in a frame.
 //
+// How the bytes move. A reply is one write: FrameWriter gathers every
+// frame of it (a result's header, its chunks and its end frame) into
+// one sendmsg whose iovecs point at the writer's own prefix bytes and
+// at the caller's body bytes, which are not copied; WriteFrame is the
+// one-frame case. Readers buffer: FrameReader parses every complete
+// frame out of each recv, so a small reply costs the peer one recv
+// rather than three per frame. Neither changes a byte on the wire —
+// the stream is exactly the frames back to back, as before, and any
+// peer that speaks the frames above interoperates.
+//
 // Request types (client -> server):
 //   kQueryReq         body = query text (see server/query_text.h)
 //   kPingReq          body echoed back verbatim in kPong
@@ -71,9 +81,13 @@
 #ifndef STANDOFF_SERVER_WIRE_H_
 #define STANDOFF_SERVER_WIRE_H_
 
+#include <sys/uio.h>
+
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/le_bytes.h"
 #include "common/status.h"
@@ -109,9 +123,14 @@ enum class MsgType : uint8_t {
   kBusy = 0xE1,
 };
 
+/// Bytes before a frame's body: the u32 length and the u8 type.
+inline constexpr size_t kFramePrefixBytes = 5;
+
+/// One frame as a reader hands it out: the body is a view into the
+/// reader's buffer, valid until the reader's next call.
 struct Frame {
   MsgType type = MsgType::kError;
-  std::string body;
+  std::string_view body;
 };
 
 /// Frame fields are little-endian (common/le_bytes.h) in both
@@ -122,17 +141,84 @@ using standoff::AppendU64;
 StatusOr<uint32_t> TakeU32(std::string_view body, size_t* offset);
 StatusOr<uint64_t> TakeU64(std::string_view body, size_t* offset);
 
-/// Writes one complete frame. Short writes are retried; EPIPE (peer
-/// vanished mid-stream) and other socket errors come back as kInternal.
-/// SIGPIPE is suppressed (MSG_NOSIGNAL).
+/// Queues the frames of one reply and writes them with one gathered
+/// sendmsg (more only on a short write, or past IOV_MAX iovecs).
+/// Short writes and EINTR are retried; EPIPE (peer vanished
+/// mid-stream) and other socket errors come back as kInternal. SIGPIPE
+/// is suppressed (MSG_NOSIGNAL). Keep one per connection: its buffers
+/// keep their capacity across replies.
+class FrameWriter {
+ public:
+  /// Queues a frame whose body is copied into the writer — for small
+  /// fixed-size bodies such as a result header or end frame.
+  void AddCopied(MsgType type, std::string_view body);
+  /// Queues a frame whose body is NOT copied: it must stay alive and
+  /// unchanged until Flush returns.
+  void AddBorrowed(MsgType type, std::string_view body);
+  /// Writes every queued frame, then empties the queue (also on error).
+  /// A body over kMaxFrameBytes fails the whole reply before any byte
+  /// is sent.
+  Status Flush(int fd);
+
+ private:
+  /// A run of bytes to send: the writer's own (`data` null, `offset`
+  /// into owned_) or a caller's body (`data`).
+  struct Piece {
+    const char* data;
+    size_t offset;
+    size_t size;
+  };
+  void AddPrefix(MsgType type, size_t body_size);
+
+  std::string owned_;  // prefixes and copied bodies, back to back
+  std::vector<Piece> pieces_;
+  std::vector<iovec> iov_;
+  bool oversized_ = false;
+};
+
+/// Writes one complete frame: the one-frame case of FrameWriter (the
+/// same prefix encoding and send loop, prefix and body gathered in one
+/// sendmsg, the body not copied).
 Status WriteFrame(int fd, MsgType type, std::string_view body);
 
-/// Reads one complete frame. Error taxonomy, which the server maps to
-/// "close quietly" vs "protocol error":
+/// Reads frames from one socket through a per-connection buffer: each
+/// recv fills as much of it as the peer has sent, and every complete
+/// frame in it is handed out without another syscall. The buffer
+/// starts at kInitialBytes and grows only to hold the frame in flight
+/// (so never past 4 + kMaxFrameBytes); after such a frame it shrinks
+/// back, so an idle connection pins a few KiB.
+///
+/// Error taxonomy, which the server maps to "close quietly" vs
+/// "protocol error":
 ///   kNotFound         peer closed cleanly between frames
-///   kInvalidArgument  oversized or zero-length length prefix
+///   kInvalidArgument  oversized or zero-length length prefix, rejected
+///                     before any allocation
 ///   kInternal         truncated frame (EOF mid-frame) or socket error
-StatusOr<Frame> ReadFrame(int fd);
+class FrameReader {
+ public:
+  static constexpr size_t kInitialBytes = 4u << 10;
+
+  explicit FrameReader(int fd);
+  FrameReader(const FrameReader&) = delete;
+  FrameReader& operator=(const FrameReader&) = delete;
+
+  /// The next frame. Its body view stays valid until the next call.
+  StatusOr<Frame> Next();
+
+  /// Bytes of buffer the reader holds now.
+  size_t capacity() const { return capacity_; }
+
+ private:
+  /// Makes room for `need` bytes from begin_: moves the buffered bytes
+  /// to the front, growing the buffer when `need` exceeds it.
+  void Reserve(size_t need);
+
+  int fd_;
+  std::unique_ptr<char[]> buf_;
+  size_t capacity_ = 0;
+  size_t begin_ = 0;  // first byte not yet handed out
+  size_t end_ = 0;    // one past the last byte received
+};
 
 }  // namespace server
 }  // namespace standoff

@@ -5,9 +5,11 @@
 // a clean error (or a closed connection) and leaves the server fully
 // serviceable. Runs under ASan/TSan in the sanitizer CI jobs.
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -58,13 +60,14 @@ std::string PlayXml(uint64_t seed, int scenes) {
 /// One snapshot + one running server per fixture; everything through
 /// ephemeral ports so tests never collide.
 struct ServerFixture {
-  explicit ServerFixture(const char* name,
-                         server::ServerConfig config = {}) {
+  explicit ServerFixture(const char* name, server::ServerConfig config = {},
+                         int doc0_scenes = 12) {
     path = TempPath(name);
     storage::ShardedStore store(2);
     for (int d = 0; d < 3; ++d) {
       CHECK_OK(store.AddDocumentText("d" + std::to_string(d),
-                                     PlayXml(500 + d, 12)));
+                                     PlayXml(500 + d, d == 0 ? doc0_scenes
+                                                             : 12)));
     }
     CHECK_OK(storage::SaveSnapshot(store, path));
     auto started = server::Server::Start(path, config);
@@ -97,8 +100,62 @@ int RawConnect(uint16_t port) {
   // wrapper close the original.
   const int fd = ::dup((*client)->fd());
   CHECK(fd >= 0);
+  // A reply that never comes fails the test instead of hanging it.
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
   return fd;
 }
+
+/// The bytes one frame puts on the wire, encoded independently of
+/// server/wire.cc: what a WriteFrame call sent before replies were
+/// gathered into one write.
+std::string ReferenceFrame(server::MsgType type, std::string_view body) {
+  std::string frame;
+  server::AppendU32(&frame, static_cast<uint32_t>(body.size() + 1));
+  frame.push_back(static_cast<char>(type));
+  frame.append(body);
+  return frame;
+}
+
+void SendAll(int fd, std::string_view bytes) {
+  CHECK(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+        static_cast<ssize_t>(bytes.size()));
+}
+
+/// Reads one result reply (header, chunks, end) and returns the chunk
+/// bytes.
+std::string ReadResultPayload(server::FrameReader* reader) {
+  std::string payload;
+  auto header = reader->Next();
+  CHECK_OK(header);
+  if (!header.ok()) return payload;
+  CHECK(header->type == server::MsgType::kResultHeader);
+  for (;;) {
+    auto frame = reader->Next();
+    CHECK_OK(frame);
+    if (!frame.ok()) return payload;
+    if (frame->type != server::MsgType::kResultChunk) {
+      CHECK(frame->type == server::MsgType::kResultEnd);
+      return payload;
+    }
+    payload.append(frame->body);
+  }
+}
+
+/// A connected AF_UNIX stream pair: [0] writes, [1] reads.
+struct SocketPair {
+  SocketPair() { CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0); }
+  ~SocketPair() {
+    for (int fd : fds) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
+  void CloseWriter() {
+    ::close(fds[0]);
+    fds[0] = -1;
+  }
+  int fds[2] = {-1, -1};
+};
 
 /// This process's virtual size in KiB (VmSize in /proc/self/status);
 /// 0 when the file is unavailable.
@@ -245,7 +302,8 @@ static void TestTruncatedAndOversizedFrames() {
     bytes.push_back('\x01');
     CHECK(::send(fd, bytes.data(), bytes.size(), 0) ==
           static_cast<ssize_t>(bytes.size()));
-    auto reply = server::ReadFrame(fd);
+    server::FrameReader reader(fd);
+    auto reply = reader.Next();
     if (reply.ok()) CHECK(reply->type == server::MsgType::kError);
     ::close(fd);
   }
@@ -256,7 +314,8 @@ static void TestTruncatedAndOversizedFrames() {
     server::AppendU32(&bytes, 0);
     CHECK(::send(fd, bytes.data(), bytes.size(), 0) ==
           static_cast<ssize_t>(bytes.size()));
-    auto reply = server::ReadFrame(fd);
+    server::FrameReader reader(fd);
+    auto reply = reader.Next();
     if (reply.ok()) CHECK(reply->type == server::MsgType::kError);
     ::close(fd);
   }
@@ -359,7 +418,8 @@ static void TestConnectionCap() {
   CHECK_OK(first->Ping());
 
   auto second = fx.Connect();
-  auto frame = server::ReadFrame(second->fd());
+  server::FrameReader reader(second->fd());
+  auto frame = reader.Next();
   CHECK_OK(frame);
   CHECK(frame->type == server::MsgType::kError);
   second.reset();
@@ -476,7 +536,8 @@ static void TestClientRejectsHostileResultHeader() {
   std::thread peer([listen_fd] {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     CHECK(fd >= 0);
-    auto query = server::ReadFrame(fd);
+    server::FrameReader reader(fd);
+    auto query = reader.Next();
     CHECK_OK(query);
     std::string header;
     server::AppendU64(&header, 1);  // generation
@@ -523,6 +584,328 @@ static void TestStatsReportSubPlanCounters() {
   CHECK(after->subplan_misses >= first->subplan_misses);
 }
 
+// The server's reader buffers: a query that trickles in one byte per
+// send, or split exactly at the prefix/type/body boundaries, is
+// answered exactly like one sent whole.
+static void TestServerReadsSplitFrames() {
+  ServerFixture fx("wire_split");
+  auto reference = fx.Connect()->Query(kChainQuery);
+  CHECK_OK(reference);
+  if (!reference.ok()) return;
+  const std::string frame =
+      ReferenceFrame(server::MsgType::kQueryReq, kChainQuery);
+
+  const int trickle = RawConnect(fx.srv->port());
+  for (char byte : frame) SendAll(trickle, std::string_view(&byte, 1));
+  server::FrameReader trickle_reader(trickle);
+  CHECK(ReadResultPayload(&trickle_reader) == reference->payload);
+  ::close(trickle);
+
+  const int split = RawConnect(fx.srv->port());
+  const size_t cuts[] = {0, 2, 4, 5, frame.size()};  // inside the prefix too
+  for (size_t i = 0; i + 1 < sizeof cuts / sizeof cuts[0]; ++i) {
+    SendAll(split, std::string_view(frame).substr(cuts[i],
+                                                  cuts[i + 1] - cuts[i]));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  server::FrameReader split_reader(split);
+  CHECK(ReadResultPayload(&split_reader) == reference->payload);
+  ::close(split);
+}
+
+// Two frames in one send: the server answers both, in order, and the
+// client's reader hands out both replies from what it buffered.
+static void TestServerAnswersPipelinedFrames() {
+  ServerFixture fx("wire_pipelined");
+  auto reference = fx.Connect()->Query(kChainQuery);
+  CHECK_OK(reference);
+  if (!reference.ok()) return;
+  const int fd = RawConnect(fx.srv->port());
+  SendAll(fd, ReferenceFrame(server::MsgType::kPingReq, "first") +
+                  ReferenceFrame(server::MsgType::kQueryReq, kChainQuery));
+  server::FrameReader reader(fd);
+  auto pong = reader.Next();
+  CHECK_OK(pong);
+  if (pong.ok()) {
+    CHECK(pong->type == server::MsgType::kPong);
+    CHECK(pong->body == "first");
+  }
+  CHECK(ReadResultPayload(&reader) == reference->payload);
+  ::close(fd);
+}
+
+// The reader's error taxonomy, frame by frame over a socket pair: EOF
+// between frames is a clean close, EOF inside a buffered prefix or body
+// is a truncated frame, and a zero or oversized prefix is refused
+// before the buffer grows.
+static void TestReaderErrorTaxonomy() {
+  {
+    SocketPair pair;
+    SendAll(pair.fds[0], ReferenceFrame(server::MsgType::kPingReq, "x"));
+    pair.CloseWriter();
+    server::FrameReader reader(pair.fds[1]);
+    auto frame = reader.Next();
+    CHECK_OK(frame);
+    auto closed = reader.Next();
+    CHECK(closed.status().code() == StatusCode::kNotFound);
+  }
+  {
+    // A whole frame, then two bytes of the next prefix.
+    SocketPair pair;
+    SendAll(pair.fds[0], ReferenceFrame(server::MsgType::kPingReq, "x") +
+                             std::string("\x09\x00", 2));
+    pair.CloseWriter();
+    server::FrameReader reader(pair.fds[1]);
+    CHECK_OK(reader.Next());
+    auto truncated = reader.Next();
+    CHECK(truncated.status().code() == StatusCode::kInternal);
+  }
+  {
+    // A prefix announcing 100 bytes, then 10 of them.
+    SocketPair pair;
+    SendAll(pair.fds[0],
+            ReferenceFrame(server::MsgType::kPingReq, std::string(99, 'y'))
+                .substr(0, 4 + 10));
+    pair.CloseWriter();
+    server::FrameReader reader(pair.fds[1]);
+    auto truncated = reader.Next();
+    CHECK(truncated.status().code() == StatusCode::kInternal);
+  }
+  const uint32_t hostile[] = {0, server::kMaxFrameBytes + 1, 0xFFFFFFFFu};
+  for (uint32_t length : hostile) {
+    SocketPair pair;
+    std::string bytes;
+    server::AppendU32(&bytes, length);
+    bytes.append(64, 'z');
+    SendAll(pair.fds[0], bytes);
+    server::FrameReader reader(pair.fds[1]);
+    auto refused = reader.Next();
+    CHECK(refused.status().code() == StatusCode::kInvalidArgument);
+    CHECK_EQ(reader.capacity(), server::FrameReader::kInitialBytes);
+  }
+}
+
+// The server's side of the same taxonomy: a zero or oversized prefix
+// is answered with kError carrying kInvalidArgument and the connection
+// closes; EOF inside a prefix or a body closes it without a reply.
+static void TestServerReaderErrors() {
+  ServerFixture fx("wire_reader_errors");
+  const uint32_t hostile[] = {0, server::kMaxFrameBytes + 1};
+  for (uint32_t length : hostile) {
+    const int fd = RawConnect(fx.srv->port());
+    std::string bytes;
+    server::AppendU32(&bytes, length);
+    SendAll(fd, bytes);
+    server::FrameReader reader(fd);
+    auto reply = reader.Next();
+    CHECK_OK(reply);
+    if (reply.ok()) {
+      CHECK(reply->type == server::MsgType::kError);
+      CHECK(!reply->body.empty() &&
+            static_cast<StatusCode>(reply->body[0]) ==
+                StatusCode::kInvalidArgument);
+    }
+    CHECK(reader.Next().status().code() == StatusCode::kNotFound);
+    ::close(fd);
+  }
+  const std::string frame =
+      ReferenceFrame(server::MsgType::kQueryReq, kChainQuery);
+  for (size_t cut : {size_t{2}, frame.size() - 3}) {
+    const int fd = RawConnect(fx.srv->port());
+    SendAll(fd, std::string_view(frame).substr(0, cut));
+    ::shutdown(fd, SHUT_WR);
+    server::FrameReader reader(fd);
+    CHECK(reader.Next().status().code() == StatusCode::kNotFound);
+    ::close(fd);
+  }
+  auto client = fx.Connect();
+  CHECK_OK(client->Ping());
+}
+
+// The largest legal frame grows the buffer to exactly that frame, never
+// past kMaxFrameBytes + 5, and the next small frame shrinks it back.
+// One byte more is refused by the writer before anything is sent.
+static void TestReaderBufferBound() {
+  SocketPair pair;
+  const std::string big(server::kMaxFrameBytes - 1, 'b');
+  std::thread writer([&pair, &big] {
+    CHECK_OK(server::WriteFrame(pair.fds[0], server::MsgType::kPong, big));
+    CHECK(!server::WriteFrame(pair.fds[0], server::MsgType::kPong,
+                              big + "!")
+               .ok());
+    CHECK_OK(server::WriteFrame(pair.fds[0], server::MsgType::kPong, "s"));
+  });
+  server::FrameReader reader(pair.fds[1]);
+  auto frame = reader.Next();
+  CHECK_OK(frame);
+  if (frame.ok()) CHECK(frame->body == big);
+  CHECK_EQ(reader.capacity(), size_t{server::kMaxFrameBytes} + 4);
+  CHECK(reader.capacity() <= size_t{server::kMaxFrameBytes} + 5);
+  auto small = reader.Next();
+  CHECK_OK(small);
+  if (small.ok()) CHECK(small->body == "s");
+  CHECK_EQ(reader.capacity(), server::FrameReader::kInitialBytes);
+  writer.join();
+}
+
+// The server's replies are byte-identical to the frame sequence the
+// per-frame writes produced: header, the payload in kChunkBytes chunks,
+// end — for a payload past one chunk and for a small one.
+static void TestReplyBytesMatchReferenceEncoder() {
+  ServerFixture fx("wire_bytes", {}, /*doc0_scenes=*/600);
+  auto snapshot = storage::Snapshot::Open(fx.path);
+  CHECK_OK(snapshot);
+  if (!snapshot.ok()) return;
+  xquery::Engine engine(&(*snapshot)->store());
+  struct Case {
+    const char* text;
+    uint32_t doc;
+    bool multi_chunk;
+  };
+  const Case cases[] = {
+      {"chain doc=0 ctx=scene steps=select-narrow:word", 0, true},
+      {"chain doc=1 ctx=scene steps=select-narrow:word", 1, false},
+  };
+  for (const Case& c : cases) {
+    xquery::ChainQuery query;
+    query.doc = c.doc;
+    query.context_name = "scene";
+    query.steps.push_back({xquery::Axis::kSelectNarrow, false, "word"});
+    auto local = engine.EvaluateChain(query);
+    CHECK_OK(local);
+    if (!local.ok()) return;
+    std::string payload;
+    server::AppendU32(&payload,
+                      static_cast<uint32_t>(local->context_ids.size()));
+    for (storage::Pre id : local->context_ids) server::AppendU32(&payload, id);
+    server::AppendU32(&payload, static_cast<uint32_t>(local->matches.size()));
+    for (const so::IterMatch& match : local->matches) {
+      server::AppendU32(&payload, match.iter);
+      server::AppendU32(&payload, match.pre);
+    }
+    CHECK_EQ(payload.size() > server::kChunkBytes, c.multi_chunk);
+
+    // Capture the raw reply: receive until a complete kResultEnd frame.
+    const int fd = RawConnect(fx.srv->port());
+    SendAll(fd, ReferenceFrame(server::MsgType::kQueryReq, c.text));
+    std::string wire;
+    size_t parsed = 0;
+    bool ended = false;
+    while (!ended) {
+      char buf[16384];
+      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+      CHECK(n > 0);
+      if (n <= 0) break;
+      wire.append(buf, static_cast<size_t>(n));
+      while (wire.size() - parsed >= 5) {
+        const size_t length = LoadU32(wire.data() + parsed);
+        if (wire.size() - parsed < 4 + length) break;
+        ended = static_cast<server::MsgType>(wire[parsed + 4]) ==
+                server::MsgType::kResultEnd;
+        parsed += 4 + length;
+      }
+    }
+    ::close(fd);
+    CHECK_EQ(parsed, wire.size());  // nothing after the end frame
+    if (wire.size() < 8) continue;
+
+    std::string header;
+    server::AppendU64(&header, 1);  // generation
+    header.push_back('\0');         // chain
+    server::AppendU64(&header, payload.size());
+    server::AppendU64(&header, local->matches.size());
+    std::string expected =
+        ReferenceFrame(server::MsgType::kResultHeader, header);
+    size_t chunks = 0;
+    for (size_t off = 0; off < payload.size(); off += server::kChunkBytes) {
+      expected += ReferenceFrame(server::MsgType::kResultChunk,
+                                 std::string_view(payload).substr(
+                                     off, server::kChunkBytes));
+      ++chunks;
+    }
+    CHECK_EQ(chunks > 1, c.multi_chunk);
+    // The end frame's execution micros are the server's to choose.
+    expected += ReferenceFrame(server::MsgType::kResultEnd,
+                               std::string_view(wire).substr(wire.size() - 8));
+    CHECK_EQ(wire.size(), expected.size());
+    CHECK(wire == expected);
+  }
+}
+
+// A small reply is whole in the socket once the writer returns: one
+// non-blocking recv takes all of it, and it matches the reference.
+static void TestSmallReplyIsOneWrite() {
+  SocketPair pair;
+  const std::string header(25, 'h');
+  const std::string payload(300, 'p');
+  const std::string end(8, 'e');
+  server::FrameWriter writer;
+  writer.AddCopied(server::MsgType::kResultHeader, header);
+  writer.AddBorrowed(server::MsgType::kResultChunk, payload);
+  writer.AddCopied(server::MsgType::kResultEnd, end);
+  CHECK_OK(writer.Flush(pair.fds[0]));
+  const std::string expected =
+      ReferenceFrame(server::MsgType::kResultHeader, header) +
+      ReferenceFrame(server::MsgType::kResultChunk, payload) +
+      ReferenceFrame(server::MsgType::kResultEnd, end);
+  std::string got(expected.size() + 64, '\0');
+  const ssize_t n = ::recv(pair.fds[1], got.data(), got.size(), MSG_DONTWAIT);
+  CHECK_EQ(n, static_cast<ssize_t>(expected.size()));
+  got.resize(n > 0 ? static_cast<size_t>(n) : 0);
+  CHECK(got == expected);
+
+  // An oversized body fails the whole reply; nothing is sent.
+  const std::string oversized(server::kMaxFrameBytes, 'o');
+  writer.AddCopied(server::MsgType::kResultHeader, header);
+  writer.AddBorrowed(server::MsgType::kResultChunk, oversized);
+  CHECK(writer.Flush(pair.fds[0]).code() == StatusCode::kInvalidArgument);
+  CHECK(::recv(pair.fds[1], got.data(), got.size(), MSG_DONTWAIT) < 0);
+}
+
+void IgnoreSignal(int) {}
+
+// More frames than one sendmsg takes iovecs, through a socket buffer
+// far smaller than the reply, with signals interrupting the blocked
+// writer: the writer batches by IOV_MAX, resumes after each short
+// write or EINTR, and the reader sees every frame intact.
+static void TestWriterBatchesAndResumes() {
+  struct sigaction interrupt {};
+  interrupt.sa_handler = IgnoreSignal;  // no SA_RESTART: sends return
+  sigemptyset(&interrupt.sa_mask);
+  struct sigaction previous {};
+  CHECK(::sigaction(SIGUSR1, &interrupt, &previous) == 0);
+
+  SocketPair pair;
+  constexpr int kFrames = 3000;
+  std::vector<std::string> bodies;
+  for (int i = 0; i < kFrames; ++i) {
+    bodies.push_back(std::string(1 + i % 700, static_cast<char>('a' + i % 26)));
+  }
+  std::thread writer([&pair, &bodies] {
+    server::FrameWriter frames;
+    for (const std::string& body : bodies) {
+      frames.AddBorrowed(server::MsgType::kResultChunk, body);
+    }
+    CHECK_OK(frames.Flush(pair.fds[0]));
+    ::shutdown(pair.fds[0], SHUT_WR);  // a lost byte ends in EOF, not a hang
+  });
+  server::FrameReader reader(pair.fds[1]);
+  for (int i = 0; i < kFrames; ++i) {
+    if (i % 250 == 0) {
+      // The writer is blocked on a full socket buffer mid-sendmsg.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      ::pthread_kill(writer.native_handle(), SIGUSR1);
+    }
+    auto frame = reader.Next();
+    CHECK_OK(frame);
+    if (!frame.ok()) break;
+    CHECK(frame->body == bodies[i]);
+  }
+  ::shutdown(pair.fds[1], SHUT_RD);  // a reader that gave up frees the writer
+  writer.join();
+  CHECK(::sigaction(SIGUSR1, &previous, nullptr) == 0);
+}
+
 int main() {
   RUN_TEST(TestPingAndQueryRoundTrip);
   RUN_TEST(TestFlworQuery);
@@ -536,5 +919,13 @@ int main() {
   RUN_TEST(TestPerQueryDeadline);
   RUN_TEST(TestStatsReportSubPlanCounters);
   RUN_TEST(TestClientRejectsHostileResultHeader);
+  RUN_TEST(TestServerReadsSplitFrames);
+  RUN_TEST(TestServerAnswersPipelinedFrames);
+  RUN_TEST(TestReaderErrorTaxonomy);
+  RUN_TEST(TestServerReaderErrors);
+  RUN_TEST(TestReaderBufferBound);
+  RUN_TEST(TestReplyBytesMatchReferenceEncoder);
+  RUN_TEST(TestSmallReplyIsOneWrite);
+  RUN_TEST(TestWriterBatchesAndResumes);
   TEST_MAIN();
 }

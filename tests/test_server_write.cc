@@ -370,7 +370,8 @@ static void TestWriteValidationOverWire() {
   auto frame_status =
       server::WriteFrame(client->fd(), server::MsgType::kInsertRegionReq, body);
   CHECK_OK(frame_status);
-  auto reply = server::ReadFrame(client->fd());
+  server::FrameReader reader(client->fd());
+  auto reply = reader.Next();
   CHECK_OK(reply);
   if (reply.ok()) CHECK(reply->type == server::MsgType::kError);
 
@@ -390,7 +391,8 @@ static void TestUnknownFrameTypeIsClientSafe() {
   auto client = fx.Connect();
   CHECK_OK(server::WriteFrame(client->fd(),
                               static_cast<server::MsgType>(0x7F), "junk"));
-  auto reply = server::ReadFrame(client->fd());
+  server::FrameReader reader(client->fd());
+  auto reply = reader.Next();
   CHECK_OK(reply);
   if (reply.ok()) CHECK(reply->type == server::MsgType::kError);
   CHECK_OK(client->Ping());
@@ -406,10 +408,11 @@ static void TestHostileFrameLengthIsRejected() {
   const uint8_t huge[4] = {0, 0, 0, 0x10};  // announces 256 MiB
   CHECK_EQ(::send(client->fd(), huge, sizeof huge, 0),
            static_cast<ssize_t>(sizeof huge));
-  auto reply = server::ReadFrame(client->fd());
+  server::FrameReader reader(client->fd());
+  auto reply = reader.Next();
   CHECK_OK(reply);
   if (reply.ok()) CHECK(reply->type == server::MsgType::kError);
-  auto eof = server::ReadFrame(client->fd());
+  auto eof = reader.Next();
   CHECK(!eof.ok());  // the hostile connection is closed
 
   // Zero-length frames die the same way.
@@ -417,7 +420,8 @@ static void TestHostileFrameLengthIsRejected() {
   const uint8_t zero[4] = {0, 0, 0, 0};
   CHECK_EQ(::send(client2->fd(), zero, sizeof zero, 0),
            static_cast<ssize_t>(sizeof zero));
-  auto reply2 = server::ReadFrame(client2->fd());
+  server::FrameReader reader2(client2->fd());
+  auto reply2 = reader2.Next();
   CHECK_OK(reply2);
   if (reply2.ok()) CHECK(reply2->type == server::MsgType::kError);
 
