@@ -140,20 +140,19 @@ double EstimateTopDown(const ChainSpec& spec, size_t edge_count,
 // Execution.
 // ---------------------------------------------------------------------------
 
-Status Checkpoint(const ChainExecOptions& options) {
-  if (options.checkpoint) return (*options.checkpoint)();
-  return Status::OK();
-}
-
-Status RunJoin(const ChainEdge& edge, const EdgePlan& edge_plan,
-               const ChainLayer& layer, const std::vector<IterRegion>& ctx,
-               uint32_t iter_count, const ChainExecOptions& options,
-               std::vector<IterMatch>* out, ChainStats* stats) {
+/// One loop-lifted join of `ctx` against `layer` under `edge`: the
+/// checkpoint, the kernel, the edge's post-filter and the counters.
+/// `gallop` is the edge's choice; the caller's join.gallop = false wins.
+Status RunJoin(const ChainEdge& edge, const ChainLayer& layer, bool gallop,
+               const std::vector<IterRegion>& ctx, uint32_t iter_count,
+               const ChainExecOptions& options, std::vector<IterMatch>* out,
+               ChainStats* stats) {
+  if (options.checkpoint) STANDOFF_RETURN_IF_ERROR((*options.checkpoint)());
   if (!layer.ids_set) {
     return Status::Invalid("chain layer has no candidate universe");
   }
   JoinOptions join = options.join;
-  join.gallop = options.join.gallop && edge_plan.gallop;
+  join.gallop = options.join.gallop && gallop;
   STANDOFF_RETURN_IF_ERROR(LoopLiftedStandoffJoinColumns(
       edge.op, ctx, layer.columns, layer.ids, iter_count, out, join));
   if (edge.post) STANDOFF_RETURN_IF_ERROR(edge.post(out));
@@ -166,24 +165,37 @@ Status RunJoin(const ChainEdge& edge, const EdgePlan& edge_plan,
 
 /// Edges [0, edge_count) in spec order. `last_layer_override` (if
 /// non-null) replaces the FINAL edge's layer — bottom-up's filtered
-/// middle. Output is the final edge's matches.
+/// middle; bottom-up then reports only its full chain, so no edge here
+/// reaches the prefix sink. Gallop choices follow ExecuteChain's
+/// adaptive rule. Output is the final edge's matches.
 Status RunTopDown(const ChainSpec& spec, const ChainPlan& plan,
                   size_t edge_count, const ChainLayer* last_layer_override,
                   const ChainExecOptions& options,
                   std::vector<IterMatch>* out, ChainStats* stats) {
   const std::vector<IterRegion>* ctx = &spec.context;
+  double ctx_width = spec.context_stats.AvgWidth();
   std::vector<IterRegion> ctx_buf;
   std::vector<IterMatch> matches;
   for (size_t e = 0; e < edge_count; ++e) {
-    STANDOFF_RETURN_IF_ERROR(Checkpoint(options));
+    const ChainEdge& edge = spec.edges[e];
     const bool last = e + 1 == edge_count;
-    const ChainLayer& layer = last && last_layer_override
-                                  ? *last_layer_override
-                                  : spec.edges[e].layer;
+    const bool filtered = last && last_layer_override;
+    const ChainLayer& layer = filtered ? *last_layer_override : edge.layer;
+    bool gallop = plan.edges[e].gallop;
+    if (e > 0 || filtered) {
+      const double cand_rows = static_cast<double>(
+          filtered ? layer.columns.size : edge.layer.stats.count);
+      gallop = EstimateEdge(edge, static_cast<double>(ctx->size()), ctx_width,
+                            cand_rows, spec.iter_count)
+                   .plan.gallop;
+    }
     matches.clear();
-    STANDOFF_RETURN_IF_ERROR(RunJoin(spec.edges[e], plan.edges[e], layer,
-                                     *ctx, spec.iter_count, options,
-                                     &matches, stats));
+    STANDOFF_RETURN_IF_ERROR(RunJoin(edge, layer, gallop, *ctx,
+                                     spec.iter_count, options, &matches,
+                                     stats));
+    if (options.prefix_sink && last_layer_override == nullptr) {
+      STANDOFF_RETURN_IF_ERROR((*options.prefix_sink)(e, matches));
+    }
     if (last) break;
     if (layer.index == nullptr) {
       return Status::Invalid("non-final chain edge needs a region index");
@@ -191,6 +203,7 @@ Status RunTopDown(const ChainSpec& spec, const ChainPlan& plan,
     // The join has finished reading *ctx; the buffers can be refilled.
     MatchesToContext(matches, *layer.index, &ctx_buf);
     ctx = &ctx_buf;
+    ctx_width = ContextStats(ctx_buf).AvgWidth();
   }
   *out = std::move(matches);
   return Status::OK();
@@ -215,23 +228,9 @@ Status RunBottomUpLast(const ChainSpec& spec, const ChainPlan& plan,
     row_ctx[r] = IterRegion{r, mid.start[r], mid.end[r]};
   }
   std::vector<IterMatch> low;  // (middle row, final-layer node)
-  {
-    // Borrow the spec's exec options but swap the iteration space.
-    STANDOFF_RETURN_IF_ERROR(Checkpoint(options));
-    if (!last_edge.layer.ids_set) {
-      return Status::Invalid("chain layer has no candidate universe");
-    }
-    JoinOptions join = options.join;
-    join.gallop = options.join.gallop && plan.edges[edge_total - 1].gallop;
-    STANDOFF_RETURN_IF_ERROR(LoopLiftedStandoffJoinColumns(
-        last_edge.op, row_ctx, last_edge.layer.columns,
-        last_edge.layer.ids, mid_rows, &low, join));
-    if (last_edge.post) STANDOFF_RETURN_IF_ERROR(last_edge.post(&low));
-    if (stats) {
-      ++stats->joins_run;
-      stats->context_rows_total += row_ctx.size();
-    }
-  }
+  STANDOFF_RETURN_IF_ERROR(RunJoin(last_edge, last_edge.layer,
+                                   plan.edges[edge_total - 1].gallop, row_ctx,
+                                   mid_rows, options, &low, stats));
 
   // 2. Filter the middle layer BY ID: an id survives when ANY of its
   // rows matched something, and then EVERY row of that id stays — the
@@ -310,6 +309,18 @@ Status RunBottomUpLast(const ChainSpec& spec, const ChainPlan& plan,
 }
 
 }  // namespace
+
+storage::RegionStats ContextStats(const std::vector<IterRegion>& ctx) {
+  std::vector<int64_t> starts, ends;
+  starts.reserve(ctx.size());
+  ends.reserve(ctx.size());
+  for (const IterRegion& r : ctx) {
+    starts.push_back(r.start);
+    ends.push_back(r.end);
+  }
+  return storage::RegionStats::Compute(starts.data(), ends.data(),
+                                       starts.size());
+}
 
 void MatchesToContext(const std::vector<IterMatch>& matches,
                       const RegionIndex& index,
@@ -406,7 +417,11 @@ Status ExecuteChain(const ChainSpec& spec, const ChainPlan& plan,
       return Status::Invalid(
           "bottom-up-last plan on a chain with rejects or a single edge");
     }
-    return RunBottomUpLast(spec, plan, options, out, stats);
+    STANDOFF_RETURN_IF_ERROR(RunBottomUpLast(spec, plan, options, out, stats));
+    if (options.prefix_sink) {
+      return (*options.prefix_sink)(spec.edges.size() - 1, *out);
+    }
+    return Status::OK();
   }
   return RunTopDown(spec, plan, spec.edges.size(), nullptr, options, out,
                     stats);

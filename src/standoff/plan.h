@@ -29,8 +29,8 @@
 // SubPlanMemo is the one sub-plan sharing mechanism: evaluated (doc,
 // layer, predicate-prefix) results live in a refcounted,
 // capacity-bounded LRU memo keyed by canonical key strings with
-// full-key verification on every hit. The engine probes it for the
-// longest cached prefix of each chain (Engine::EvaluateChainShared).
+// full-key verification on every hit. Engine::EvaluateChain probes it
+// for the longest cached prefix and fills it from the prefix sink.
 //
 // Every order and option combination returns byte-identical results:
 // the planner only moves work, never semantics — pinned by the chain
@@ -199,24 +199,40 @@ class SubPlanMemo {
   size_t evictions_ = 0;
 };
 
+/// Receives the matches of the prefix ending at `edge` (spec order).
+using PrefixSink =
+    std::function<Status(size_t edge, const std::vector<IterMatch>& matches)>;
+
 struct ChainExecOptions {
   /// Kernel knobs and scratch for every join in the chain. An edge
-  /// gallops only when both `join.gallop` and its plan's choice say so:
-  /// the caller can turn galloping off, the planner can only decline it.
+  /// gallops only when both `join.gallop` and its estimate say so: the
+  /// caller can turn galloping off, the cost model can only decline it.
   JoinOptions join;
   /// Called before every join (deadline checks); null means never.
   const std::function<Status()>* checkpoint = nullptr;
+  /// Called after every top-down edge, or once with the final matches
+  /// under bottom-up (whose upper chain ends at a filtered layer, so
+  /// materializes no true prefix); null means never.
+  const PrefixSink* prefix_sink = nullptr;
 };
 
 /// Cost-based plan for `spec` under `mode`. Pure estimation — never
 /// touches the region data, only the precomputed stats.
 ChainPlan PlanChain(const ChainSpec& spec, PlanMode mode = PlanMode::kAuto);
 
-/// Executes `spec` under `plan`. Output is sorted by (iter, pre) and
-/// duplicate-free — byte-identical across orders and gallop settings.
+/// The one chain executor (EvaluateChain and the FLWOR StandOff step
+/// both run through it): executes `spec` in `plan`'s order. Output is
+/// sorted by (iter, pre) and duplicate-free — byte-identical across
+/// orders and gallop settings. The first edge gallops as planned; each
+/// later edge re-prices its choice from the rows it materialized (count
+/// and average width), and bottom-up's filtered layer from its stats
+/// and the filtered row count.
 Status ExecuteChain(const ChainSpec& spec, const ChainPlan& plan,
                     const ChainExecOptions& options,
                     std::vector<IterMatch>* out, ChainStats* stats = nullptr);
+
+/// RegionStats over context rows (a spec's `context_stats`).
+storage::RegionStats ContextStats(const std::vector<IterRegion>& ctx);
 
 /// (iter, node) pairs to loop-lifted context rows: one (iter, start,
 /// end) row per region of each node (RegionIndex::ForEachRegionOf), in

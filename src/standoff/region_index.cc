@@ -461,6 +461,7 @@ StatusOr<const RegionIndex*> RegionIndexCache::Get(
   if (run == nullptr || run->empty()) return base;
   if (entry == nullptr) entry = &cache_[std::make_pair(doc, fingerprint)];
   if (!entry->merged || entry->merged_seq != run->seq) {
+    entry->merged.reset();  // free the stale merge before building anew
     entry->merged = std::make_unique<RegionIndex>(MergeBaseDelta(*base, *run));
     entry->merged_seq = run->seq;
   }

@@ -280,9 +280,10 @@ RegionIndex MergeBaseDelta(const RegionIndex& base,
 /// Get. Views with pending deltas (StoreView::delta_run) are served a
 /// merged (base ⊎ delta) index instead, cached per delta sequence; a
 /// view with NO delta for the key costs exactly the pre-delta path.
-/// Returned pointers stay valid for the life of the cache (or, for
-/// preloaded indexes, the Snapshot that owns them). Not thread-safe;
-/// each Engine owns one.
+/// A returned base index stays valid for the life of the cache (or, if
+/// preloaded, of the Snapshot that owns it); a merged one only until a
+/// Get for its key at another delta sequence, which frees it before
+/// building its successor. Not thread-safe; each Engine owns one.
 class RegionIndexCache {
  public:
   StatusOr<const RegionIndex*> Get(const storage::StoreView& store,

@@ -56,18 +56,6 @@ so::StandoffOp AxisToOp(Axis axis) {
   }
 }
 
-storage::RegionStats ContextStats(const std::vector<so::IterRegion>& ctx) {
-  std::vector<int64_t> starts, ends;
-  starts.reserve(ctx.size());
-  ends.reserve(ctx.size());
-  for (const so::IterRegion& r : ctx) {
-    starts.push_back(r.start);
-    ends.push_back(r.end);
-  }
-  return storage::RegionStats::Compute(starts.data(), ends.data(),
-                                       starts.size());
-}
-
 /// Row ranges per iteration: offsets[iter] .. offsets[iter+1].
 std::vector<size_t> IterOffsets(const std::vector<Row>& rows,
                                 uint32_t iter_count) {
@@ -366,19 +354,22 @@ const storage::RegionStats* Engine::GetIndexStats(
   return &*stats;
 }
 
-StatusOr<so::ChainLayer> Engine::GetChainLayer(storage::DocId doc,
-                                               const ChainStep& step,
-                                               so::ChainEdge* edge) {
+Status Engine::AppendChainEdge(storage::DocId doc, const ChainStep& step,
+                               so::ChainSpec* spec) {
+  if (!IsStandoffAxis(step.axis)) {
+    return Status::Invalid("chain steps must use StandOff axes");
+  }
   StatusOr<const so::RegionIndex*> index = GetIndex(doc);
   if (!index.ok()) return index.status();
-  so::ChainLayer layer;
+  so::ChainEdge& edge = spec->edges.emplace_back();
+  edge.op = AxisToOp(step.axis);
+  so::ChainLayer& layer = edge.layer;
   layer.index = *index;
+  layer.ids_set = true;
   const storage::NameId name =
       step.any_name ? storage::kInvalidName : store_->names().Lookup(step.name);
   if (!step.any_name && name == storage::kInvalidName) {
-    // Unknown name: an empty layer (no candidates, empty universe).
-    layer.ids_set = true;
-    return layer;
+    return Status::OK();  // unknown name: no candidates, empty universe
   }
   const storage::Span<storage::Pre> annotated_ids = (*index)->annotated_ids();
   const size_t annotated = annotated_ids.size();
@@ -413,11 +404,10 @@ StatusOr<so::ChainLayer> Engine::GetChainLayer(storage::DocId doc,
   if (step.any_name || candidate_count * 2 >= annotated) {
     layer.columns = (*index)->columns();
     layer.ids = (*index)->annotated_ids();
-    layer.ids_set = true;
     layer.stats = *GetIndexStats(doc, **index);
     if (!step.any_name) {
       const storage::NodeTable* table = &store_->table(doc);
-      edge->post = [table, name](std::vector<so::IterMatch>* matches) {
+      edge.post = [table, name](std::vector<so::IterMatch>* matches) {
         matches->erase(
             std::remove_if(matches->begin(), matches->end(),
                            [table, name](const so::IterMatch& m) {
@@ -428,15 +418,14 @@ StatusOr<so::ChainLayer> Engine::GetChainLayer(storage::DocId doc,
         return Status::OK();
       };
     }
-    return layer;
+    return Status::OK();
   }
   StatusOr<const CandidateSet*> candidates = GetCandidates(doc, step.name);
   if (!candidates.ok()) return candidates.status();
   layer.columns = (*candidates)->entries.View();
   layer.ids = (*candidates)->ids;
-  layer.ids_set = true;
   layer.stats = (*candidates)->stats;
-  return layer;
+  return Status::OK();
 }
 
 StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
@@ -480,44 +469,70 @@ StatusOr<ChainResult> Engine::EvaluateChain(const ChainQuery& query) {
   }
   so::MatchesToContext(context_nodes, **index, &spec.context);
   for (const ChainStep& step : query.steps) {
-    if (!IsStandoffAxis(step.axis)) {
-      return Status::Invalid("chain steps must use StandOff axes");
-    }
-    so::ChainEdge edge;
-    edge.op = AxisToOp(step.axis);
-    StatusOr<so::ChainLayer> layer = GetChainLayer(query.doc, step, &edge);
-    if (!layer.ok()) return layer.status();
-    edge.layer = *layer;
-    spec.edges.push_back(std::move(edge));
+    STANDOFF_RETURN_IF_ERROR(AppendChainEdge(query.doc, step, &spec));
   }
-
   result.plan = so::PlanChain(spec, options_.plan_mode);
-  const so::ChainExecOptions exec = DeriveChainExec();
+
+  // Sub-plan sharing: canonical keys, one per predicate prefix. The
+  // '\x1f' separator cannot occur in an XML name and '*' is not a valid
+  // name, so the encoding is injective — two different prefixes can
+  // never produce the same key. The longest cached prefix's matches
+  // replace its edges (the full chain is probed first).
+  const size_t n = spec.edges.size();
+  std::vector<std::string> keys;
+  std::shared_ptr<const so::SubPlanMemo::Entry> cached;
+  size_t p = 0;  // edges answered by `cached`
+  const size_t hits0 = subplan_memo_.hits();
+  const size_t misses0 = subplan_memo_.misses();
+  const size_t evictions0 = subplan_memo_.evictions();
   if (options_.share_subplans) {
-    // Canonical sub-plan keys: one per predicate prefix. The '\x1f'
-    // separator cannot occur in an XML name and '*' is not a valid
-    // name, so the encoding is injective — two different prefixes can
-    // never produce the same key.
-    std::vector<std::string> keys(spec.edges.size());
     std::string prefix = std::to_string(query.doc);
     prefix += '\x1f';
     prefix += standoff_config_.type;
     prefix += '\x1f';
     prefix += query.context_any ? "*" : query.context_name;
-    for (size_t k = 0; k < query.steps.size(); ++k) {
-      const ChainStep& step = query.steps[k];
+    for (const ChainStep& step : query.steps) {
       prefix += '\x1f';
       prefix += so::StandoffOpName(AxisToOp(step.axis));
       prefix += ':';
       prefix += step.any_name ? "*" : step.name;
-      keys[k] = prefix;
+      keys.push_back(prefix);
     }
-    STANDOFF_RETURN_IF_ERROR(
-        EvaluateChainShared(query, spec, **index, keys, exec, &result));
-    return result;
+    for (p = n; p > 0; --p) {
+      cached = subplan_memo_.Lookup(keys[p - 1]);
+      if (cached) break;
+    }
   }
-  STANDOFF_RETURN_IF_ERROR(so::ExecuteChain(spec, result.plan, exec,
-                                            &result.matches, &result.stats));
+
+  if (p == n) {
+    result.matches = cached->matches;
+  } else {
+    // The suffix after the cached prefix starts from the prefix's
+    // matches mapped back to rows, planned against those real rows.
+    so::ChainPlan plan = result.plan;
+    if (p > 0) {
+      so::MatchesToContext(cached->matches, **index, &spec.context);
+      spec.context_stats = so::ContextStats(spec.context);
+      spec.edges.erase(spec.edges.begin(), spec.edges.begin() + p);
+      plan = so::PlanChain(spec, options_.plan_mode);
+    }
+    // Every prefix the executor materializes becomes a memo entry.
+    const so::PrefixSink memoize =
+        [&](size_t edge, const std::vector<so::IterMatch>& matches) {
+          auto entry = std::make_shared<so::SubPlanMemo::Entry>();
+          entry->matches = matches;
+          entry->reads = PrefixReads(query, p + edge);
+          subplan_memo_.Insert(keys[p + edge], std::move(entry));
+          return Status::OK();
+        };
+    so::ChainExecOptions exec = DeriveChainExec();
+    if (options_.share_subplans) exec.prefix_sink = &memoize;
+    STANDOFF_RETURN_IF_ERROR(so::ExecuteChain(spec, plan, exec,
+                                              &result.matches, &result.stats));
+  }
+  result.stats.memo_hits = subplan_memo_.hits() - hits0;
+  result.stats.memo_misses = subplan_memo_.misses() - misses0;
+  result.stats.memo_evictions = subplan_memo_.evictions() - evictions0;
   return result;
 }
 
@@ -538,101 +553,6 @@ so::SubPlanMemo::Reads Engine::PrefixReads(const ChainQuery& query,
     read(query.steps[k].any_name, query.steps[k].name);
   }
   return reads;
-}
-
-Status Engine::EvaluateChainShared(const ChainQuery& query,
-                                   const so::ChainSpec& spec,
-                                   const so::RegionIndex& index,
-                                   const std::vector<std::string>& keys,
-                                   const so::ChainExecOptions& exec,
-                                   ChainResult* result) {
-  so::SubPlanMemo* memo = &subplan_memo_;
-  const size_t hits0 = memo->hits();
-  const size_t misses0 = memo->misses();
-  const size_t evictions0 = memo->evictions();
-  const size_t n = spec.edges.size();
-
-  // Longest cached prefix: probe the full chain first, then shrink.
-  size_t p = n;
-  std::shared_ptr<const so::SubPlanMemo::Entry> cached;
-  for (; p > 0; --p) {
-    cached = memo->Lookup(keys[p - 1]);
-    if (cached) break;
-  }
-
-  so::ChainStats total;
-  std::vector<so::IterMatch> matches;
-  if (cached) matches = cached->matches;  // splice the shared result
-
-  if (p < n) {
-    // Execute the remaining suffix. Its context is the cached prefix's
-    // matches mapped back to rows (or the original context when
-    // nothing was cached), and its stats are computed over those REAL
-    // rows — the suffix is planned against materialized cardinalities,
-    // not the top-of-chain estimates.
-    so::ChainSpec suffix;
-    suffix.iter_count = spec.iter_count;
-    if (p == 0) {
-      suffix.context = spec.context;
-      suffix.context_stats = spec.context_stats;
-    } else {
-      so::MatchesToContext(matches, index, &suffix.context);
-      suffix.context_stats = ContextStats(suffix.context);
-    }
-    for (size_t e = p; e < n; ++e) suffix.edges.push_back(spec.edges[e]);
-    const so::ChainPlan suffix_plan =
-        so::PlanChain(suffix, options_.plan_mode);
-
-    if (suffix_plan.order == so::ChainOrder::kBottomUpLast) {
-      // Bottom-up never materializes the intermediate prefixes, so
-      // only the full chain's result can be memoized.
-      so::ChainStats stats;
-      STANDOFF_RETURN_IF_ERROR(
-          so::ExecuteChain(suffix, suffix_plan, exec, &matches, &stats));
-      total.joins_run += stats.joins_run;
-      total.context_rows_total += stats.context_rows_total;
-      total.bottom_up_kept_rows += stats.bottom_up_kept_rows;
-      total.bottom_up_dropped_rows += stats.bottom_up_dropped_rows;
-      total.composed_matches += stats.composed_matches;
-      auto entry = std::make_shared<so::SubPlanMemo::Entry>();
-      entry->matches = matches;
-      entry->reads = PrefixReads(query, n - 1);
-      memo->Insert(keys[n - 1], std::move(entry));
-    } else {
-      // Top-down: run edge by edge — exactly what ExecuteChain's
-      // top-down path does internally, so results are byte-identical —
-      // and memoize every newly evaluated prefix along the way.
-      for (size_t e = p; e < n; ++e) {
-        so::ChainSpec one;
-        one.iter_count = spec.iter_count;
-        one.context_stats = suffix.context_stats;
-        if (e == p) {
-          one.context = std::move(suffix.context);
-        } else {
-          so::MatchesToContext(matches, index, &one.context);
-          one.context_stats = ContextStats(one.context);
-        }
-        one.edges.push_back(spec.edges[e]);
-        const so::ChainPlan one_plan = so::PlanChain(one, so::PlanMode::kTopDown);
-        so::ChainStats stats;
-        STANDOFF_RETURN_IF_ERROR(
-            so::ExecuteChain(one, one_plan, exec, &matches, &stats));
-        total.joins_run += stats.joins_run;
-        total.context_rows_total += stats.context_rows_total;
-        auto entry = std::make_shared<so::SubPlanMemo::Entry>();
-        entry->matches = matches;
-        entry->reads = PrefixReads(query, e);
-        memo->Insert(keys[e], std::move(entry));
-      }
-    }
-  }
-
-  result->matches = std::move(matches);
-  total.memo_hits = memo->hits() - hits0;
-  total.memo_misses = memo->misses() - misses0;
-  total.memo_evictions = memo->evictions() - evictions0;
-  result->stats = total;
-  return Status::OK();
 }
 
 namespace {
@@ -743,14 +663,9 @@ Status Engine::ApplyStandoffStep(const Step& step, Lifted* rows) {
       case StandoffMode::kLoopLifted: {
         // A one-edge chain: same layer choice, planner and deadline
         // checks as EvaluateChain.
-        so::ChainEdge edge;
-        edge.op = op;
-        StatusOr<so::ChainLayer> layer = GetChainLayer(
-            doc, ChainStep{step.axis, step.any_name, step.name}, &edge);
-        if (!layer.ok()) return layer.status();
-        edge.layer = *layer;
-        spec.context_stats = ContextStats(spec.context);
-        spec.edges.push_back(std::move(edge));
+        STANDOFF_RETURN_IF_ERROR(AppendChainEdge(
+            doc, ChainStep{step.axis, step.any_name, step.name}, &spec));
+        spec.context_stats = so::ContextStats(spec.context);
         STANDOFF_RETURN_IF_ERROR(
             so::ExecuteChain(spec, so::PlanChain(spec, options_.plan_mode),
                              DeriveChainExec(), &matches));
@@ -788,10 +703,9 @@ Status Engine::StandoffBasicPerIteration(
   if (!index.ok()) return index.status();
   // One basic merge-join call per loop iteration, each re-scanning the
   // full region index; the name test filters afterwards (no pushdown).
-  so::JoinOptions join = options_.join;
+  so::JoinOptions join = DeriveChainExec().join;
   join.trace = nullptr;  // per-iteration calls have no trace contract
   join.stats = nullptr;
-  join.arena = &arena_;
   return RunIterationGroups(
       context,
       [&](uint32_t iter, const std::vector<so::AreaAnnotation>& iter_context,

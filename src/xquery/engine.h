@@ -6,10 +6,13 @@
 //
 // There is one loop-lifted StandOff path. EvaluateChain and a FLWOR
 // StandOff step both build their context rows with so::MatchesToContext
-// (every region of every context node), pick the candidate layer with
-// GetChainLayer (name pushdown or whole index + name filter), and run
-// PlanChain / ExecuteChain with the same deadline checkpoint; a FLWOR
-// step is simply a one-edge chain.
+// (every region of every context node), add their edges with
+// AppendChainEdge (name pushdown or whole index + name filter), and
+// make one so::ExecuteChain call with the same deadline checkpoint; a
+// FLWOR step is a one-edge chain. With sharing on, EvaluateChain runs
+// only the suffix after the longest memoized prefix and memoizes what
+// the executor's prefix sink reports; the executor re-prices each later
+// edge's gallop from its materialized rows, as it does sharing off.
 //
 // The four StandoffMode settings correspond to the implementation
 // alternatives of the paper's Figure 6 and only differ in how the
@@ -83,10 +86,11 @@ struct EngineOptions {
   /// Cross-query sub-plan sharing (EvaluateChain): canonical
   /// (doc, type, context, predicate-prefix) keys are probed against the
   /// engine's SubPlanMemo; the longest cached prefix's matches replace
-  /// re-evaluating that prefix, and the suffix is re-planned against
-  /// the MATERIALIZED cardinalities of the cached result. Results are
+  /// re-evaluating that prefix, and the suffix is planned against the
+  /// MATERIALIZED cardinalities of the cached result. Results are
   /// byte-identical to evaluation with sharing off (differential-
-  /// pinned). Off = every chain evaluates from scratch.
+  /// pinned), and a cold evaluation makes the same kernel choices.
+  /// Off = no memo probe, every chain from scratch.
   bool share_subplans = true;
 };
 
@@ -209,12 +213,12 @@ class Engine {
   StatusOr<const CandidateSet*> GetCandidates(storage::DocId doc,
                                               const std::string& name);
 
-  /// A chain layer for one step: the pushed-down candidate set when the
-  /// name is selective, the whole index (plus a name post-filter on the
-  /// matches) when the name covers most of it or matches everything.
-  StatusOr<so::ChainLayer> GetChainLayer(storage::DocId doc,
-                                         const ChainStep& step,
-                                         so::ChainEdge* edge);
+  /// Appends one step's edge: the pushed-down candidate set as its layer
+  /// when the name is selective, the whole index (plus a name
+  /// post-filter on the matches) when the name covers most of it or
+  /// matches everything.
+  Status AppendChainEdge(storage::DocId doc, const ChainStep& step,
+                         so::ChainSpec* spec);
 
   /// Stats of `index` = GetIndex(doc), cached under the index's own
   /// (document, config fingerprint) key: two standoff types of one
@@ -225,18 +229,6 @@ class Engine {
   Status CheckDeadline() const;
   bool NameMatches(const Step& step, storage::DocId doc,
                    storage::Pre pre) const;
-
-  /// The sharing path of EvaluateChain: probe the memo for the longest
-  /// cached predicate prefix, execute only the suffix (re-planned over
-  /// the cached result's real cardinalities), and populate the memo
-  /// with every newly evaluated prefix. `keys[k]` is the canonical key
-  /// of the prefix ending at edge k.
-  Status EvaluateChainShared(const ChainQuery& query,
-                             const so::ChainSpec& spec,
-                             const so::RegionIndex& index,
-                             const std::vector<std::string>& keys,
-                             const so::ChainExecOptions& exec,
-                             ChainResult* result);
 
   /// What the prefix of `query` ending at edge `last` reads, recorded
   /// on its memo entry for Rebase.

@@ -325,7 +325,7 @@ static void TestChainMatchesFlworPath() {
 static void TestAnyNameLayers() {
   // context_any (every annotated element as the context) and an
   // any-name step (the whole index as a layer, no post name-filter)
-  // take their own branches in EvaluateChain/GetChainLayer.
+  // take their own branches in EvaluateChain/AppendChainEdge.
   for (const std::string& xml : {NestedPlay(4), RandomSoup(11)}) {
     storage::DocumentStore store;
     auto doc = store.AddDocumentText("play.xml", xml);
@@ -512,6 +512,158 @@ static void TestMemoPoisoningRegression() {
   CHECK(hits > 0);  // sharing stayed on
 }
 
+namespace {
+
+/// scene ⊃ speech ⊃ word, then back out to the speeches that overlap
+/// those words: a 3-step chain whose prefixes are all distinct keys.
+xquery::ChainQuery ThreeStepChain(storage::DocId doc, size_t steps = 3) {
+  xquery::ChainQuery query = SceneSpeechWord(
+      doc, StandoffOp::kSelectNarrow, StandoffOp::kSelectNarrow);
+  query.steps.push_back({xquery::Axis::kSelectWide, false, "speech"});
+  query.steps.resize(steps);
+  return query;
+}
+
+/// The sharing-off answer to `query`, from a fresh engine.
+std::vector<IterMatch> Unshared(const storage::StoreView* store,
+                                const xquery::ChainQuery& query) {
+  xquery::Engine engine(store);
+  engine.mutable_options()->share_subplans = false;
+  auto result = engine.EvaluateChain(query);
+  CHECK_OK(result);
+  return result.ok() ? result->matches : std::vector<IterMatch>{};
+}
+
+}  // namespace
+
+static void TestMemoPopulationRule() {
+  // The memo fill rule: a top-down evaluation memoizes every prefix it
+  // materializes, a bottom-up one only the full chain; a hit serves its
+  // prefix without a join and the executor runs only the suffix.
+  storage::DocumentStore store;
+  auto doc = store.AddDocumentText("play.xml", NestedPlay(5));
+  CHECK_OK(doc);
+  if (!doc.ok()) return;
+  const xquery::ChainQuery chain = ThreeStepChain(*doc);
+  const std::vector<IterMatch> want = Unshared(&store, chain);
+  CHECK(!want.empty());
+
+  // Cold top-down: three probes miss, three joins, three entries.
+  xquery::Engine engine(&store);
+  engine.mutable_options()->plan_mode = so::PlanMode::kTopDown;
+  auto cold = engine.EvaluateChain(chain);
+  CHECK_OK(cold);
+  if (cold.ok()) {
+    CHECK(cold->matches == want);
+    CHECK_EQ(cold->stats.memo_misses, size_t{3});
+    CHECK_EQ(cold->stats.memo_hits, size_t{0});
+    CHECK_EQ(cold->stats.joins_run, size_t{3});
+  }
+  CHECK_EQ(engine.subplan_memo()->size(), size_t{3});
+
+  // Full hit: one probe, no join.
+  auto warm = engine.EvaluateChain(chain);
+  CHECK_OK(warm);
+  if (warm.ok()) {
+    CHECK(warm->matches == want);
+    CHECK_EQ(warm->stats.memo_hits, size_t{1});
+    CHECK_EQ(warm->stats.memo_misses, size_t{0});
+    CHECK_EQ(warm->stats.joins_run, size_t{0});
+  }
+  CHECK_EQ(engine.subplan_memo()->size(), size_t{3});
+
+  // One-edge-prefix hit: the two longer probes miss, the one-edge
+  // prefix hits, and only the two suffix edges run.
+  xquery::Engine prefixed(&store);
+  prefixed.mutable_options()->plan_mode = so::PlanMode::kTopDown;
+  CHECK_OK(prefixed.EvaluateChain(ThreeStepChain(*doc, 1)));
+  CHECK_EQ(prefixed.subplan_memo()->size(), size_t{1});
+  auto suffix = prefixed.EvaluateChain(chain);
+  CHECK_OK(suffix);
+  if (suffix.ok()) {
+    CHECK(suffix->matches == want);
+    CHECK_EQ(suffix->stats.memo_hits, size_t{1});
+    CHECK_EQ(suffix->stats.memo_misses, size_t{2});
+    CHECK_EQ(suffix->stats.joins_run, size_t{2});
+  }
+  CHECK_EQ(prefixed.subplan_memo()->size(), size_t{3});
+
+  // Bottom-up: only the full chain is memoized, so its one-edge prefix
+  // still misses and runs its join.
+  xquery::Engine bottom_up(&store);
+  bottom_up.mutable_options()->plan_mode = so::PlanMode::kBottomUpLast;
+  auto full = bottom_up.EvaluateChain(chain);
+  CHECK_OK(full);
+  if (full.ok()) {
+    CHECK(full->plan.order == so::ChainOrder::kBottomUpLast);
+    CHECK(full->matches == want);
+    CHECK_EQ(full->stats.memo_misses, size_t{3});
+  }
+  CHECK_EQ(bottom_up.subplan_memo()->size(), size_t{1});
+  auto prefix = bottom_up.EvaluateChain(ThreeStepChain(*doc, 1));
+  CHECK_OK(prefix);
+  if (prefix.ok()) {
+    CHECK_EQ(prefix->stats.memo_hits, size_t{0});
+    CHECK_EQ(prefix->stats.joins_run, size_t{1});
+  }
+  auto again = bottom_up.EvaluateChain(chain);
+  CHECK_OK(again);
+  if (again.ok()) {
+    CHECK(again->matches == want);
+    CHECK_EQ(again->stats.joins_run, size_t{0});
+  }
+}
+
+static void TestSharedAndUnsharedChooseAlike() {
+  // One scene over 1,000 tightly packed speeches, plus one far-away
+  // speech that stretches the speech layer's span: the planner expects
+  // the scene to match almost nothing (and so a galloping second edge),
+  // while the first edge really materializes 1,000 context rows. The
+  // words are the second layer, most of them outside every speech. A
+  // cold shared evaluation and a sharing-off one must make the same
+  // per-edge kernel choices: identical chain counters and identical
+  // final-join stats.
+  std::string xml = "<doc>" + Elem("scene", 0, 10000);
+  for (int64_t i = 0; i < 1000; ++i) {
+    xml += Elem("speech", i * 10, i * 10 + 8);
+    xml += Elem("word", i * 10 + 1, i * 10 + 2);
+    xml += Elem("word", i * 10 + 4, i * 10 + 5);
+  }
+  xml += Elem("speech", 1000000000, 1000000005);
+  for (int64_t i = 0; i < 3000; ++i) {
+    xml += Elem("word", 20000 + i * 300, 20000 + i * 300 + 3);
+  }
+  xml += "</doc>";
+  storage::DocumentStore store;
+  auto doc = store.AddDocumentText("packed.xml", xml);
+  CHECK_OK(doc);
+  if (!doc.ok()) return;
+  const xquery::ChainQuery query = SceneSpeechWord(
+      *doc, StandoffOp::kSelectNarrow, StandoffOp::kSelectNarrow);
+  xquery::ChainResult results[2];
+  so::JoinStats final_join[2];
+  for (int share = 0; share < 2; ++share) {
+    xquery::Engine engine(&store);
+    engine.mutable_options()->plan_mode = so::PlanMode::kTopDown;
+    engine.mutable_options()->share_subplans = share == 1;
+    engine.mutable_options()->join.stats = &final_join[share];
+    auto result = engine.EvaluateChain(query);
+    CHECK_OK(result);
+    if (!result.ok()) return;
+    results[share] = *result;
+  }
+  CHECK(results[0].matches == results[1].matches);
+  CHECK_EQ(results[1].stats.memo_misses, size_t{2});
+  CHECK_EQ(results[0].stats.joins_run, results[1].stats.joins_run);
+  CHECK_EQ(results[0].stats.context_rows_total,
+           results[1].stats.context_rows_total);
+  CHECK_EQ(final_join[0].candidates_scanned, final_join[1].candidates_scanned);
+  CHECK_EQ(final_join[0].candidates_skipped, final_join[1].candidates_skipped);
+  // The choice follows the 1,000 materialized rows, not the estimate:
+  // the second edge scans every word instead of galloping.
+  CHECK_EQ(final_join[1].candidates_skipped, size_t{0});
+}
+
 int main() {
   RUN_TEST(TestChainShapesAgainstOracle);
   RUN_TEST(TestXmarkDerivedChain);
@@ -520,5 +672,7 @@ int main() {
   RUN_TEST(TestSharedChainsIdenticalToUnshared);
   RUN_TEST(TestOverlappingBatchesSharedVsIndependent);
   RUN_TEST(TestMemoPoisoningRegression);
+  RUN_TEST(TestMemoPopulationRule);
+  RUN_TEST(TestSharedAndUnsharedChooseAlike);
   TEST_MAIN();
 }
