@@ -6,12 +6,10 @@
 #include <cstring>
 #include <utility>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace standoff {
 namespace storage {
@@ -205,7 +203,6 @@ class Reader {
 // save overwrites.
 Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   const std::string tmp = path + ".tmp";
-#if !defined(_WIN32)
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return Status::Internal("cannot open " + tmp + " for writing");
@@ -246,26 +243,6 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   }
   ::close(dfd);
   return Status::OK();
-#else
-  // Portability fallback: atomic rename without the fsync guarantees.
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + tmp + " for writing");
-  }
-  const size_t wrote = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (wrote != bytes.size() || !flushed || !closed) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to " + tmp);
-  }
-  std::remove(path.c_str());  // Windows rename does not replace
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-#endif
 }
 
 }  // namespace
@@ -563,21 +540,16 @@ Status SaveSnapshot(const DocumentStore& store, const std::string& path,
 
 namespace {
 
-/// RAII over the raw bytes backing an open snapshot: an mmap'd file on
-/// POSIX, a heap copy elsewhere.
+/// RAII over the raw bytes backing an open snapshot: an mmap'd file.
 struct MappedBytes {
   void* data = nullptr;
   size_t size = 0;
-  bool heap = false;
 
   MappedBytes() = default;
   MappedBytes(const MappedBytes&) = delete;
   MappedBytes& operator=(const MappedBytes&) = delete;
   ~MappedBytes() {
-#if !defined(_WIN32)
-    if (data != nullptr && !heap) munmap(data, size);
-#endif
-    if (data != nullptr && heap) delete[] static_cast<uint8_t*>(data);
+    if (data != nullptr) munmap(data, size);
   }
 };
 
@@ -600,7 +572,6 @@ StatusOr<std::unique_ptr<Snapshot>> Snapshot::Open(
   std::unique_ptr<Snapshot> snapshot(new Snapshot());
   auto resources = std::make_shared<SnapshotResources>();
 
-#if !defined(_WIN32)
   const int fd = open(path.c_str(), O_RDONLY);
   if (fd < 0) return Status::NotFound("cannot open snapshot " + path);
   struct stat st;
@@ -620,29 +591,6 @@ StatusOr<std::unique_ptr<Snapshot>> Snapshot::Open(
   }
   resources->map.data = map;
   resources->map.size = file_size;
-#else
-  // Portability fallback: read into heap memory (loses the zero-copy
-  // property, keeps the format working).
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open snapshot " + path);
-  std::fseek(f, 0, SEEK_END);
-  const size_t file_size = static_cast<size_t>(std::ftell(f));
-  std::fseek(f, 0, SEEK_SET);
-  if (file_size < kHeaderSize) {
-    std::fclose(f);
-    return Status::Invalid("snapshot file truncated (no header): " + path);
-  }
-  uint8_t* heap = new uint8_t[file_size];
-  const size_t got = std::fread(heap, 1, file_size, f);
-  std::fclose(f);
-  if (got != file_size) {
-    delete[] heap;
-    return Status::Internal("short read from snapshot " + path);
-  }
-  resources->map.data = heap;
-  resources->map.size = file_size;
-  resources->map.heap = true;
-#endif
   snapshot->file_size_ = resources->map.size;
 
   const uint8_t* base = static_cast<const uint8_t*>(resources->map.data);

@@ -1,6 +1,8 @@
 // Value vocabulary of the query engine: items (stored nodes or atomics)
-// and the loop-lifted intermediate representation — sequences of
-// (iteration, item) rows, the paper's Section 4.1 loop-lifted tables.
+// and the loop-lifted intermediate representation, the paper's Section
+// 4.1 loop-lifted tables. A node sequence is the chain executor's own
+// (iter, pre) rows over the query document; atomics are (iter, Item)
+// rows beside them.
 #ifndef STANDOFF_XQUERY_ALGEBRA_H_
 #define STANDOFF_XQUERY_ALGEBRA_H_
 
@@ -10,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "standoff/merge_join.h"
 #include "storage/node_table.h"
 
 namespace standoff {
@@ -22,9 +25,6 @@ struct NodeId {
 
 inline bool operator==(const NodeId& a, const NodeId& b) {
   return a.doc == b.doc && a.pre == b.pre;
-}
-inline bool operator<(const NodeId& a, const NodeId& b) {
-  return a.doc != b.doc ? a.doc < b.doc : a.pre < b.pre;
 }
 
 class Item {
@@ -86,16 +86,22 @@ struct QueryResult {
   std::vector<Item> items;
 };
 
-/// One loop-lifted row: `item` is live in loop iteration `iter`.
-struct Row {
+/// One atomic row: `item` (never a node) is live in loop iteration
+/// `iter`.
+struct AtomicRow {
   uint32_t iter = 0;
   Item item;
 };
 
-/// A loop-lifted sequence: rows sorted by iteration, over an iteration
-/// space of `iter_count` iterations (iterations may be empty).
+/// A loop-lifted sequence over an iteration space of `iter_count`
+/// iterations (iterations may be empty), rows sorted by iteration. It is
+/// all nodes or all atomics, so at most one vector is non-empty: `nodes`
+/// holds (iter, pre) rows over the query document (xquery::kQueryDoc),
+/// the rows so::MatchesToContext reads and so::ExecuteChain returns;
+/// `atomics` holds the values of count(), '+' and literals.
 struct Lifted {
-  std::vector<Row> rows;
+  std::vector<so::IterMatch> nodes;
+  std::vector<AtomicRow> atomics;
   uint32_t iter_count = 1;
 };
 

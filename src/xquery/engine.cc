@@ -9,10 +9,9 @@
 namespace standoff {
 namespace xquery {
 
+using algebra::AtomicRow;
 using algebra::Item;
 using algebra::Lifted;
-using algebra::NodeId;
-using algebra::Row;
 
 const char* StandoffModeName(StandoffMode mode) {
   switch (mode) {
@@ -30,21 +29,13 @@ struct Engine::Env {
 
 namespace {
 
-bool RowNodeLess(const Row& a, const Row& b) {
-  if (a.iter != b.iter) return a.iter < b.iter;
-  const NodeId na = a.item.stored_node();
-  const NodeId nb = b.item.stored_node();
-  return na < nb;
-}
-
-bool RowNodeEqual(const Row& a, const Row& b) {
-  return a.iter == b.iter && a.item.stored_node() == b.item.stored_node();
-}
-
-void SortUniqueNodeRows(std::vector<Row>* rows) {
-  std::sort(rows->begin(), rows->end(), RowNodeLess);
-  rows->erase(std::unique(rows->begin(), rows->end(), RowNodeEqual),
-              rows->end());
+/// Document order within each iteration, duplicates dropped.
+void SortUniqueNodes(std::vector<so::IterMatch>* nodes) {
+  std::sort(nodes->begin(), nodes->end(),
+            [](const so::IterMatch& a, const so::IterMatch& b) {
+              return a.iter != b.iter ? a.iter < b.iter : a.pre < b.pre;
+            });
+  nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
 }
 
 so::StandoffOp AxisToOp(Axis axis) {
@@ -56,13 +47,34 @@ so::StandoffOp AxisToOp(Axis axis) {
   }
 }
 
-/// Row ranges per iteration: offsets[iter] .. offsets[iter+1].
-std::vector<size_t> IterOffsets(const std::vector<Row>& rows,
-                                uint32_t iter_count) {
+/// The loop-lifting "map" relation: for each inner iteration k in
+/// order, the rows of outer iteration outer_of[k], renumbered k. `rows`
+/// (node or atomic) are sorted by iteration over `iter_count`.
+template <typename RowT>
+std::vector<RowT> MapIntoLoop(const std::vector<RowT>& rows,
+                              uint32_t iter_count,
+                              const std::vector<uint32_t>& outer_of) {
+  std::vector<RowT> out;
+  if (rows.empty()) return out;
   std::vector<size_t> offsets(iter_count + 1, 0);
-  for (const Row& row : rows) ++offsets[row.iter + 1];
+  for (const RowT& row : rows) ++offsets[row.iter + 1];
   for (uint32_t i = 0; i < iter_count; ++i) offsets[i + 1] += offsets[i];
-  return offsets;
+  for (uint32_t k = 0; k < outer_of.size(); ++k) {
+    for (size_t r = offsets[outer_of[k]]; r < offsets[outer_of[k] + 1]; ++r) {
+      out.push_back(rows[r]);
+      out.back().iter = k;
+    }
+  }
+  return out;
+}
+
+/// Appends value(i) to `out` in each iteration i of its space.
+template <typename ValueFn>
+void FillAtomics(const ValueFn& value, Lifted* out) {
+  out->atomics.reserve(out->iter_count);
+  for (uint32_t i = 0; i < out->iter_count; ++i) {
+    out->atomics.push_back(AtomicRow{i, value(i)});
+  }
 }
 
 /// The per-iteration execution pattern shared by the basic and UDF
@@ -120,14 +132,22 @@ StatusOr<algebra::QueryResult> Engine::Evaluate(
   STANDOFF_RETURN_IF_ERROR(
       EvalExpr(*query->body, env, /*iter_count=*/1, &result));
   algebra::QueryResult out;
-  out.items.reserve(result.rows.size());
-  for (Row& row : result.rows) out.items.push_back(std::move(row.item));
+  out.items.reserve(result.nodes.size() + result.atomics.size());
+  for (const so::IterMatch& node : result.nodes) {
+    out.items.push_back(Item::Node(algebra::NodeId{kQueryDoc, node.pre}));
+  }
+  for (AtomicRow& row : result.atomics) {
+    out.items.push_back(std::move(row.item));
+  }
   return out;
 }
 
 Status Engine::EvalExpr(const Expr& expr, const Env& env, uint32_t iter_count,
                         Lifted* out) {
   STANDOFF_RETURN_IF_ERROR(CheckDeadline());
+  out->nodes.clear();
+  out->atomics.clear();
+  out->iter_count = iter_count;
   switch (expr.kind) {
     case Expr::Kind::kPath:
       return EvalPath(expr, env, iter_count, out);
@@ -137,22 +157,14 @@ Status Engine::EvalExpr(const Expr& expr, const Env& env, uint32_t iter_count,
       return EvalCount(expr, env, iter_count, out);
     case Expr::Kind::kAdd:
       return EvalAdd(expr, env, iter_count, out);
-    case Expr::Kind::kStringLit: {
-      out->iter_count = iter_count;
-      out->rows.clear();
-      for (uint32_t i = 0; i < iter_count; ++i) {
-        out->rows.push_back(Row{i, Item::String(expr.string_value)});
-      }
+    case Expr::Kind::kStringLit:
+      FillAtomics([&](uint32_t) { return Item::String(expr.string_value); },
+                  out);
       return Status::OK();
-    }
-    case Expr::Kind::kNumberLit: {
-      out->iter_count = iter_count;
-      out->rows.clear();
-      for (uint32_t i = 0; i < iter_count; ++i) {
-        out->rows.push_back(Row{i, Item::Double(expr.number_value)});
-      }
+    case Expr::Kind::kNumberLit:
+      FillAtomics([&](uint32_t) { return Item::Double(expr.number_value); },
+                  out);
       return Status::OK();
-    }
     case Expr::Kind::kAttrEquals:
     case Expr::Kind::kAttrExists:
       return Status::Internal("attribute test outside a predicate");
@@ -162,8 +174,6 @@ Status Engine::EvalExpr(const Expr& expr, const Env& env, uint32_t iter_count,
 
 Status Engine::EvalPath(const Expr& expr, const Env& env, uint32_t iter_count,
                         Lifted* out) {
-  out->iter_count = iter_count;
-  out->rows.clear();
   if (!expr.start_var.empty()) {
     auto it = env.vars.find(expr.start_var);
     if (it == env.vars.end()) {
@@ -175,11 +185,11 @@ Status Engine::EvalPath(const Expr& expr, const Env& env, uint32_t iter_count,
       return Status::Unimplemented(
           "relative paths must start at a variable ($var/...)");
     }
-    // Absolute path: the default document's document node, live in every
-    // iteration of the current space.
-    out->rows.reserve(iter_count);
+    // Absolute path: the query document's document node (pre 0), live
+    // in every iteration of the current space.
+    out->nodes.reserve(iter_count);
     for (uint32_t i = 0; i < iter_count; ++i) {
-      out->rows.push_back(Row{i, Item::Node(NodeId{0, 0})});
+      out->nodes.push_back(so::IterMatch{i, 0});
     }
   }
   for (const Step& step : expr.steps) {
@@ -190,10 +200,8 @@ Status Engine::EvalPath(const Expr& expr, const Env& env, uint32_t iter_count,
 
 Status Engine::ApplyStep(const Step& step, Lifted* rows) {
   STANDOFF_RETURN_IF_ERROR(CheckDeadline());
-  for (const Row& row : rows->rows) {
-    if (!row.item.is_node()) {
-      return Status::Invalid("path step applied to a non-node item");
-    }
+  if (!rows->atomics.empty()) {
+    return Status::Invalid("path step applied to a non-node item");
   }
   if (IsStandoffAxis(step.axis)) {
     STANDOFF_RETURN_IF_ERROR(ApplyStandoffStep(step, rows));
@@ -206,9 +214,8 @@ Status Engine::ApplyStep(const Step& step, Lifted* rows) {
   return Status::OK();
 }
 
-bool Engine::NameMatches(const Step& step, storage::DocId doc,
-                         storage::Pre pre) const {
-  const storage::NodeTable& table = store_->table(doc);
+bool Engine::NameMatches(const Step& step, storage::Pre pre) const {
+  const storage::NodeTable& table = store_->table(kQueryDoc);
   if (!table.IsElement(pre)) return false;
   if (step.any_name) return true;
   const storage::NameId name = store_->names().Lookup(step.name);
@@ -219,23 +226,22 @@ Status Engine::ApplyNavigationStep(const Step& step, Lifted* rows) {
   const storage::NameId name =
       step.any_name ? storage::kInvalidName : store_->names().Lookup(step.name);
   if (!step.any_name && name == storage::kInvalidName) {
-    rows->rows.clear();  // name never occurs in any document
+    rows->nodes.clear();  // name never occurs in any document
     return Status::OK();
   }
-  std::vector<Row> result;
+  const storage::NodeTable& table = store_->table(kQueryDoc);
+  std::vector<so::IterMatch> result;
   size_t processed = 0;
-  for (const Row& row : rows->rows) {
+  for (const so::IterMatch& node : rows->nodes) {
     if ((++processed & 1023u) == 0) {
       STANDOFF_RETURN_IF_ERROR(CheckDeadline());
     }
-    const NodeId node = row.item.stored_node();
-    const storage::NodeTable& table = store_->table(node.doc);
     switch (step.axis) {
       case Axis::kSelf: {
         const bool keep = step.any_name ? table.IsElement(node.pre)
                                         : (table.IsElement(node.pre) &&
                                            table.name(node.pre) == name);
-        if (keep) result.push_back(row);
+        if (keep) result.push_back(node);
         break;
       }
       case Axis::kChild: {
@@ -245,7 +251,7 @@ Status Engine::ApplyNavigationStep(const Step& step, Lifted* rows) {
              child += table.subtree_size(child) + 1) {
           if (table.IsElement(child) &&
               (step.any_name || table.name(child) == name)) {
-            result.push_back(Row{row.iter, Item::Node(NodeId{node.doc, child})});
+            result.push_back(so::IterMatch{node.iter, child});
           }
         }
         break;
@@ -258,17 +264,17 @@ Status Engine::ApplyNavigationStep(const Step& step, Lifted* rows) {
         if (step.any_name) {
           for (storage::Pre pre = lo; pre <= hi; ++pre) {
             if (table.IsElement(pre)) {
-              result.push_back(Row{row.iter, Item::Node(NodeId{node.doc, pre})});
+              result.push_back(so::IterMatch{node.iter, pre});
             }
           }
         } else {
           // Name-index range scan: the loop-lifted descendant step the
           // staircase comparison runs against.
           const storage::Span<storage::Pre> pres =
-              store_->document(node.doc).element_index.Lookup(name);
+              store_->document(kQueryDoc).element_index.Lookup(name);
           auto it = std::lower_bound(pres.begin(), pres.end(), lo);
           for (; it != pres.end() && *it <= hi; ++it) {
-            result.push_back(Row{row.iter, Item::Node(NodeId{node.doc, *it})});
+            result.push_back(so::IterMatch{node.iter, *it});
           }
         }
         break;
@@ -277,8 +283,8 @@ Status Engine::ApplyNavigationStep(const Step& step, Lifted* rows) {
         return Status::Internal("standoff axis in navigation step");
     }
   }
-  SortUniqueNodeRows(&result);
-  rows->rows = std::move(result);
+  SortUniqueNodes(&result);
+  rows->nodes = std::move(result);
   return Status::OK();
 }
 
@@ -288,21 +294,17 @@ Status Engine::ApplyPredicate(const Expr& pred, Lifted* rows) {
     return Status::Unimplemented("unsupported predicate form");
   }
   const storage::NameId attr = store_->names().Lookup(pred.attr_name);
-  std::vector<Row> kept;
-  for (const Row& row : rows->rows) {
-    if (!row.item.is_node()) {
-      return Status::Invalid("attribute predicate on a non-node item");
-    }
-    if (attr == storage::kInvalidName) continue;
-    const NodeId node = row.item.stored_node();
-    auto [found, value] = store_->table(node.doc).FindAttribute(node.pre, attr);
-    if (!found) continue;
-    if (pred.kind == Expr::Kind::kAttrEquals && value != pred.string_value) {
-      continue;
-    }
-    kept.push_back(row);
-  }
-  rows->rows = std::move(kept);
+  const storage::NodeTable& table = store_->table(kQueryDoc);
+  std::vector<so::IterMatch>& nodes = rows->nodes;
+  nodes.erase(
+      std::remove_if(nodes.begin(), nodes.end(),
+                     [&](const so::IterMatch& node) {
+                       if (attr == storage::kInvalidName) return true;
+                       auto [found, value] = table.FindAttribute(node.pre, attr);
+                       return !found || (pred.kind == Expr::Kind::kAttrEquals &&
+                                         value != pred.string_value);
+                     }),
+      nodes.end());
   return Status::OK();
 }
 
@@ -634,72 +636,49 @@ void Engine::Rebase(const storage::StoreView* next) {
 }
 
 Status Engine::ApplyStandoffStep(const Step& step, Lifted* rows) {
+  if (rows->nodes.empty()) return Status::OK();  // no context, no index
+  StatusOr<const so::RegionIndex*> index = GetIndex(kQueryDoc);
+  if (!index.ok()) return index.status();
+  // The step's context: every region of every context node, built
+  // exactly as the chain executor builds the context between edges.
+  so::ChainSpec spec;
+  spec.iter_count = rows->iter_count;
+  so::MatchesToContext(rows->nodes, **index, &spec.context);
   const so::StandoffOp op = AxisToOp(step.axis);
-  // Partition context rows by document (stable: preserves iter order).
-  std::vector<Row> result;
-  std::vector<storage::DocId> docs;
-  for (const Row& row : rows->rows) {
-    const storage::DocId doc = row.item.stored_node().doc;
-    if (std::find(docs.begin(), docs.end(), doc) == docs.end()) {
-      docs.push_back(doc);
+  std::vector<so::IterMatch> matches;
+  switch (mode_) {
+    case StandoffMode::kLoopLifted: {
+      // A one-edge chain: same layer choice, planner and deadline
+      // checks as EvaluateChain.
+      STANDOFF_RETURN_IF_ERROR(AppendChainEdge(
+          kQueryDoc, ChainStep{step.axis, step.any_name, step.name}, &spec));
+      spec.context_stats = so::ContextStats(spec.context);
+      STANDOFF_RETURN_IF_ERROR(
+          so::ExecuteChain(spec, so::PlanChain(spec, options_.plan_mode),
+                           DeriveChainExec(), &matches));
+      break;
     }
+    case StandoffMode::kBasicMergeJoin:
+      STANDOFF_RETURN_IF_ERROR(
+          StandoffBasicPerIteration(op, spec.context, step, &matches));
+      break;
+    case StandoffMode::kUdfNoCandidates:
+      STANDOFF_RETURN_IF_ERROR(StandoffUdfPerIteration(
+          op, spec.context, step, /*with_candidates=*/false, &matches));
+      break;
+    case StandoffMode::kUdfCandidates:
+      STANDOFF_RETURN_IF_ERROR(StandoffUdfPerIteration(
+          op, spec.context, step, /*with_candidates=*/true, &matches));
+      break;
   }
-  std::vector<so::IterMatch> nodes;
-  for (storage::DocId doc : docs) {
-    StatusOr<const so::RegionIndex*> index = GetIndex(doc);
-    if (!index.ok()) return index.status();
-    // The step's context: every region of every context node, built
-    // exactly as the chain executor builds the context between edges.
-    nodes.clear();
-    for (const Row& row : rows->rows) {
-      const NodeId node = row.item.stored_node();
-      if (node.doc == doc) nodes.push_back(so::IterMatch{row.iter, node.pre});
-    }
-    so::ChainSpec spec;
-    spec.iter_count = rows->iter_count;
-    so::MatchesToContext(nodes, **index, &spec.context);
-    std::vector<so::IterMatch> matches;
-    switch (mode_) {
-      case StandoffMode::kLoopLifted: {
-        // A one-edge chain: same layer choice, planner and deadline
-        // checks as EvaluateChain.
-        STANDOFF_RETURN_IF_ERROR(AppendChainEdge(
-            doc, ChainStep{step.axis, step.any_name, step.name}, &spec));
-        spec.context_stats = so::ContextStats(spec.context);
-        STANDOFF_RETURN_IF_ERROR(
-            so::ExecuteChain(spec, so::PlanChain(spec, options_.plan_mode),
-                             DeriveChainExec(), &matches));
-        break;
-      }
-      case StandoffMode::kBasicMergeJoin:
-        STANDOFF_RETURN_IF_ERROR(
-            StandoffBasicPerIteration(op, doc, spec.context, step, &matches));
-        break;
-      case StandoffMode::kUdfNoCandidates:
-        STANDOFF_RETURN_IF_ERROR(StandoffUdfPerIteration(
-            op, doc, spec.context, step, /*with_candidates=*/false,
-            &matches));
-        break;
-      case StandoffMode::kUdfCandidates:
-        STANDOFF_RETURN_IF_ERROR(StandoffUdfPerIteration(
-            op, doc, spec.context, step, /*with_candidates=*/true,
-            &matches));
-        break;
-    }
-    for (const so::IterMatch& m : matches) {
-      result.push_back(Row{m.iter, Item::Node(NodeId{doc, m.pre})});
-    }
-  }
-  if (docs.size() > 1) SortUniqueNodeRows(&result);
-  rows->rows = std::move(result);
+  rows->nodes = std::move(matches);
   return Status::OK();
 }
 
 Status Engine::StandoffBasicPerIteration(
-    so::StandoffOp op, storage::DocId doc,
-    const std::vector<so::IterRegion>& context, const Step& step,
-    std::vector<so::IterMatch>* matches) {
-  StatusOr<const so::RegionIndex*> index = GetIndex(doc);
+    so::StandoffOp op, const std::vector<so::IterRegion>& context,
+    const Step& step, std::vector<so::IterMatch>* matches) {
+  StatusOr<const so::RegionIndex*> index = GetIndex(kQueryDoc);
   if (!index.ok()) return index.status();
   // One basic merge-join call per loop iteration, each re-scanning the
   // full region index; the name test filters afterwards (no pushdown).
@@ -716,7 +695,7 @@ Status Engine::StandoffBasicPerIteration(
             op, iter_context, (*index)->columns(),
             (*index)->annotated_ids(), &pres, join));
         for (storage::Pre pre : pres) {
-          if (NameMatches(step, doc, pre)) {
+          if (NameMatches(step, pre)) {
             out->push_back(so::IterMatch{iter, pre});
           }
         }
@@ -726,17 +705,17 @@ Status Engine::StandoffBasicPerIteration(
 }
 
 Status Engine::StandoffUdfPerIteration(
-    so::StandoffOp op, storage::DocId doc,
-    const std::vector<so::IterRegion>& context, const Step& step,
-    bool with_candidates, std::vector<so::IterMatch>* matches) {
-  const storage::NodeTable& table = store_->table(doc);
+    so::StandoffOp op, const std::vector<so::IterRegion>& context,
+    const Step& step, bool with_candidates,
+    std::vector<so::IterMatch>* matches) {
+  const storage::NodeTable& table = store_->table(kQueryDoc);
   const so::ResolvedConfig config =
       so::Resolve(standoff_config_, store_->names());
   const storage::NameId name = store_->names().Lookup(step.name);
   storage::Span<storage::Pre> candidate_pres;
   std::vector<storage::Pre> all_elements;
   if (with_candidates && !step.any_name) {
-    candidate_pres = store_->document(doc).element_index.Lookup(name);
+    candidate_pres = store_->document(kQueryDoc).element_index.Lookup(name);
   } else {
     all_elements.reserve(table.size());
     for (storage::Pre pre = 0; pre < table.size(); ++pre) {
@@ -775,7 +754,7 @@ Status Engine::StandoffUdfPerIteration(
         std::vector<storage::Pre> pres;
         so::NaiveStandoffJoin(op, iter_context, candidates, &pres);
         for (storage::Pre pre : pres) {
-          if (NameMatches(step, doc, pre)) {
+          if (NameMatches(step, pre)) {
             out->push_back(so::IterMatch{iter, pre});
           }
         }
@@ -788,48 +767,39 @@ Status Engine::EvalFor(const Expr& expr, const Env& env, uint32_t iter_count,
                        Lifted* out) {
   Lifted bindings;
   STANDOFF_RETURN_IF_ERROR(EvalExpr(*expr.in_expr, env, iter_count, &bindings));
-  const uint32_t inner_count = static_cast<uint32_t>(bindings.rows.size());
-  // Each binding row becomes one iteration of the inner space; remap the
-  // visible environment into it (the loop-lifting "map" relation).
-  std::vector<uint32_t> outer_of(inner_count);
-  for (uint32_t k = 0; k < inner_count; ++k) {
-    outer_of[k] = bindings.rows[k].iter;
-  }
+  // Each binding row becomes one iteration k of the inner space, holding
+  // that row alone as the loop variable; outer_of[k] is its outer
+  // iteration, non-decreasing since bindings are sorted by iteration.
+  std::vector<uint32_t> outer_of;
+  const auto bind = [&](auto* binding_rows) {
+    for (auto& row : *binding_rows) {
+      outer_of.push_back(row.iter);
+      row.iter = static_cast<uint32_t>(outer_of.size() - 1);
+    }
+  };
+  bind(&bindings.nodes);
+  bind(&bindings.atomics);
+  const uint32_t inner_count = static_cast<uint32_t>(outer_of.size());
   Env inner_env;
   for (const auto& [name, value] : env.vars) {
-    const std::vector<size_t> offsets = IterOffsets(value.rows, iter_count);
-    Lifted remapped;
+    Lifted& remapped = inner_env.vars[name];
     remapped.iter_count = inner_count;
-    for (uint32_t k = 0; k < inner_count; ++k) {
-      for (size_t r = offsets[outer_of[k]]; r < offsets[outer_of[k] + 1];
-           ++r) {
-        remapped.rows.push_back(Row{k, value.rows[r].item});
-      }
-    }
-    inner_env.vars.emplace(name, std::move(remapped));
+    remapped.nodes = MapIntoLoop(value.nodes, iter_count, outer_of);
+    remapped.atomics = MapIntoLoop(value.atomics, iter_count, outer_of);
   }
-  {
-    Lifted var;
-    var.iter_count = inner_count;
-    var.rows.reserve(inner_count);
-    for (uint32_t k = 0; k < inner_count; ++k) {
-      var.rows.push_back(Row{k, bindings.rows[k].item});
-    }
-    inner_env.vars[expr.var] = std::move(var);
-  }
+  bindings.iter_count = inner_count;
+  inner_env.vars[expr.var] = std::move(bindings);
 
-  Lifted body;
   STANDOFF_RETURN_IF_ERROR(
-      EvalExpr(*expr.ret_expr, inner_env, inner_count, &body));
-
-  out->iter_count = iter_count;
-  out->rows.clear();
-  out->rows.reserve(body.rows.size());
+      EvalExpr(*expr.ret_expr, inner_env, inner_count, out));
   // Body rows are sorted by inner iteration; outer_of is non-decreasing,
   // so the mapped rows stay sorted by outer iteration.
-  for (const Row& row : body.rows) {
-    out->rows.push_back(Row{outer_of[row.iter], row.item});
-  }
+  const auto unbind = [&](auto* body_rows) {
+    for (auto& row : *body_rows) row.iter = outer_of[row.iter];
+  };
+  unbind(&out->nodes);
+  unbind(&out->atomics);
+  out->iter_count = iter_count;
   return Status::OK();
 }
 
@@ -838,13 +808,9 @@ Status Engine::EvalCount(const Expr& expr, const Env& env,
   Lifted arg;
   STANDOFF_RETURN_IF_ERROR(EvalExpr(*expr.lhs, env, iter_count, &arg));
   std::vector<int64_t> counts(iter_count, 0);
-  for (const Row& row : arg.rows) ++counts[row.iter];
-  out->iter_count = iter_count;
-  out->rows.clear();
-  out->rows.reserve(iter_count);
-  for (uint32_t i = 0; i < iter_count; ++i) {
-    out->rows.push_back(Row{i, Item::Int(counts[i])});
-  }
+  for (const so::IterMatch& row : arg.nodes) ++counts[row.iter];
+  for (const AtomicRow& row : arg.atomics) ++counts[row.iter];
+  FillAtomics([&](uint32_t i) { return Item::Int(counts[i]); }, out);
   return Status::OK();
 }
 
@@ -853,36 +819,35 @@ Status Engine::EvalAdd(const Expr& expr, const Env& env, uint32_t iter_count,
   Lifted lhs, rhs;
   STANDOFF_RETURN_IF_ERROR(EvalExpr(*expr.lhs, env, iter_count, &lhs));
   STANDOFF_RETURN_IF_ERROR(EvalExpr(*expr.rhs, env, iter_count, &rhs));
-  if (lhs.rows.size() != iter_count || rhs.rows.size() != iter_count) {
+  if (!lhs.nodes.empty() || !rhs.nodes.empty()) {
+    return Status::Invalid("'+' requires numeric operands");
+  }
+  if (lhs.atomics.size() != iter_count || rhs.atomics.size() != iter_count) {
     return Status::Invalid("'+' requires exactly one value per iteration");
   }
-  out->iter_count = iter_count;
-  out->rows.clear();
-  out->rows.reserve(iter_count);
+  const auto numeric = [](const Item& item) {
+    return item.kind() == Item::Kind::kInt ||
+           item.kind() == Item::Kind::kDouble;
+  };
+  const auto as_double = [](const Item& item) {
+    return item.kind() == Item::Kind::kInt
+               ? static_cast<double>(item.int_value())
+               : item.double_value();
+  };
+  out->atomics.reserve(iter_count);
   for (uint32_t i = 0; i < iter_count; ++i) {
-    if (lhs.rows[i].iter != i || rhs.rows[i].iter != i) {
+    const AtomicRow& a = lhs.atomics[i];
+    const AtomicRow& b = rhs.atomics[i];
+    if (a.iter != i || b.iter != i) {
       return Status::Invalid("'+' requires exactly one value per iteration");
     }
-    const Item& a = lhs.rows[i].item;
-    const Item& b = rhs.rows[i].item;
-    const auto numeric = [](const Item& item) {
-      return item.kind() == Item::Kind::kInt ||
-             item.kind() == Item::Kind::kDouble;
-    };
-    if (!numeric(a) || !numeric(b)) {
+    if (!numeric(a.item) || !numeric(b.item)) {
       return Status::Invalid("'+' requires numeric operands");
     }
-    if (a.kind() == Item::Kind::kInt && b.kind() == Item::Kind::kInt) {
-      out->rows.push_back(Row{i, Item::Int(a.int_value() + b.int_value())});
-    } else {
-      const double da = a.kind() == Item::Kind::kInt
-                            ? static_cast<double>(a.int_value())
-                            : a.double_value();
-      const double db = b.kind() == Item::Kind::kInt
-                            ? static_cast<double>(b.int_value())
-                            : b.double_value();
-      out->rows.push_back(Row{i, Item::Double(da + db)});
-    }
+    out->atomics.push_back(AtomicRow{
+        i, a.item.kind() == Item::Kind::kInt && b.item.kind() == Item::Kind::kInt
+               ? Item::Int(a.item.int_value() + b.item.int_value())
+               : Item::Double(as_double(a.item) + as_double(b.item))});
   }
   return Status::OK();
 }

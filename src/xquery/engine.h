@@ -1,8 +1,11 @@
 // The query engine: loop-lifted evaluation of the supported XQuery
-// subset over a DocumentStore. FLWOR iteration spaces are represented as
-// (iteration, item) row sequences, so an axis step inside a for-loop is
-// evaluated for ALL iterations at once — which is what lets a StandOff
-// step run as a single Loop-Lifted StandOff MergeJoin.
+// subset over a DocumentStore. A FLWOR node sequence is the chain
+// executor's own (iter, pre) rows (algebra::Lifted), so an axis step
+// inside a for-loop is evaluated for ALL iterations at once — which is
+// what lets a StandOff step run as a single Loop-Lifted StandOff
+// MergeJoin, reading and returning those rows without conversion.
+// Atomic values (count, '+', literals) travel in a side vector of
+// (iter, Item) rows; no expression mixes the two.
 //
 // There is one loop-lifted StandOff path. EvaluateChain and a FLWOR
 // StandOff step both build their context rows with so::MatchesToContext
@@ -41,6 +44,12 @@
 
 namespace standoff {
 namespace xquery {
+
+/// The document every FLWOR node row lives in: an absolute path binds
+/// its document node, and no expression in the subset reaches another
+/// document, so node rows carry only a pre and Evaluate emits
+/// Item::Node({kQueryDoc, pre}). (EvaluateChain names its document.)
+inline constexpr storage::DocId kQueryDoc = 0;
 
 /// The paper's Figure 6 implementation alternatives for a StandOff step.
 /// The two UDF modes read candidate regions from the node table's
@@ -165,6 +174,8 @@ class Engine {
 
   using Lifted = algebra::Lifted;
 
+  // EvalExpr replaces *out with `expr`'s sequence over `iter_count`
+  // iterations; the other Eval* receive *out from it already emptied.
   Status EvalExpr(const Expr& expr, const Env& env, uint32_t iter_count,
                   Lifted* out);
   Status EvalPath(const Expr& expr, const Env& env, uint32_t iter_count,
@@ -182,12 +193,12 @@ class Engine {
   Status ApplyPredicate(const Expr& pred, Lifted* rows);
 
   // The per-iteration StandoffMode baselines for one standoff step over
-  // one document (kLoopLifted runs the step as a one-edge chain).
-  Status StandoffBasicPerIteration(so::StandoffOp op, storage::DocId doc,
+  // kQueryDoc (kLoopLifted runs the step as a one-edge chain).
+  Status StandoffBasicPerIteration(so::StandoffOp op,
                                    const std::vector<so::IterRegion>& context,
                                    const Step& step,
                                    std::vector<so::IterMatch>* matches);
-  Status StandoffUdfPerIteration(so::StandoffOp op, storage::DocId doc,
+  Status StandoffUdfPerIteration(so::StandoffOp op,
                                  const std::vector<so::IterRegion>& context,
                                  const Step& step, bool with_candidates,
                                  std::vector<so::IterMatch>* matches);
@@ -227,8 +238,7 @@ class Engine {
                                             const so::RegionIndex& index);
 
   Status CheckDeadline() const;
-  bool NameMatches(const Step& step, storage::DocId doc,
-                   storage::Pre pre) const;
+  bool NameMatches(const Step& step, storage::Pre pre) const;
 
   /// What the prefix of `query` ending at edge `last` reads, recorded
   /// on its memo entry for Rebase.

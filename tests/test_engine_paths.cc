@@ -128,6 +128,13 @@ static void TestErrors() {
   CHECK(!fx.engine
              .Evaluate("for $s in /library/shelf return $s/book + 1")
              .ok());
+  // A sequence is all nodes or all atomics: a step on an atomic, or '+'
+  // with a node operand, is a type error whatever the axis.
+  CHECK(!fx.engine.Evaluate("for $n in count(//book) return $n/title").ok());
+  CHECK(!fx.engine
+             .Evaluate("for $n in count(//book) return $n/select-narrow::title")
+             .ok());
+  CHECK(!fx.engine.Evaluate("count(//book) + //book").ok());
 }
 
 int main() {
